@@ -3,8 +3,11 @@
 // plus the open-loop baseline for the control overhead, plus the
 // multi-chamber orchestrator's ticks/s vs chamber count. Per-tick cost is
 // frame synthesis + detection (O(pixels)) on top of the per-body physics
-// (O(cages × substeps)); the counters record achieved ticks/s so the BENCH
-// JSON carries the control loop's throughput trajectory.
+// (one exact in-basin step per held cell, Euler substeps for free ones);
+// the counters record achieved ticks/s so the BENCH JSON carries the control
+// loop's throughput trajectory. Every loop bench times with UseRealTime():
+// chamber and body work runs on pool workers, and a kIsRate counter over
+// main-thread CPU time would overstate the rate as soon as it does.
 
 #include <benchmark/benchmark.h>
 
@@ -125,6 +128,7 @@ BENCHMARK(bm_control_episode)
     ->Args({32, 10, 0})
     ->Args({48, 10, 1})
     ->Args({48, 15, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Multi-chamber orchestration: a chain of N 24x24 chambers, each with two
@@ -233,6 +237,7 @@ BENCHMARK(bm_orchestrator_chambers)
     ->Arg(2)
     ->Arg(3)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Telemetry-on twin of bm_orchestrator_chambers: full counting-plane folds
@@ -245,7 +250,10 @@ void bm_orchestrator_chambers_obs(benchmark::State& state) {
                          /*with_obs=*/true);
 }
 
-BENCHMARK(bm_orchestrator_chambers_obs)->Arg(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_orchestrator_chambers_obs)
+    ->Arg(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Tracked-field twin of bm_orchestrator_chambers: every chamber keeps a
 // whole-chamber potential grid current inside the actuation loop (2
@@ -267,6 +275,7 @@ void bm_orchestrator_chambers_tracked(benchmark::State& state) {
 BENCHMARK(bm_orchestrator_chambers_tracked)
     ->Args({3, 1})
     ->Args({3, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Fault-lifecycle overhead: the same chamber chain under a hostile sampled
@@ -292,6 +301,7 @@ void bm_orchestrator_faulted(benchmark::State& state) {
 BENCHMARK(bm_orchestrator_faulted)
     ->Arg(1)
     ->Arg(3)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Open-system streaming service curve: a 2-chamber chip with one inlet per
@@ -391,6 +401,7 @@ BENCHMARK(bm_streaming)
     ->Arg(36)   // ~0.5x the sustained service rate
     ->Arg(71)   // ~1.0x — the knee of the latency curve
     ->Arg(142)  // ~2.0x — scripted overload: typed shedding holds the line
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Telemetry-on twin of bm_streaming at the latency-curve knee: counting
@@ -404,6 +415,7 @@ void bm_streaming_obs(benchmark::State& state) {
 
 BENCHMARK(bm_streaming_obs)
     ->Arg(71)  // ~1.0x — the knee of the latency curve
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Tracked-field twin of bm_streaming at the knee: the service loop carries a
@@ -418,6 +430,7 @@ void bm_streaming_tracked(benchmark::State& state) {
 BENCHMARK(bm_streaming_tracked)
     ->Args({71, 1})
     ->Args({71, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -78,8 +78,8 @@ std::vector<Rect> BiochipDevice::local_footprints(int patch) const {
   return out;
 }
 
-field::HarmonicCage BiochipDevice::calibrate_cage(int patch, int nodes_per_pitch,
-                                                  field::MultigridWorkspace* workspace) const {
+field::PhasorSolution BiochipDevice::solve_unit_cage(
+    int patch, int nodes_per_pitch, field::MultigridWorkspace* workspace) const {
   const field::ChamberDomain domain = local_domain(patch, nodes_per_pitch);
   const double v = drive_amplitude();
   const int center = patch / 2;
@@ -96,10 +96,15 @@ field::HarmonicCage BiochipDevice::calibrate_cage(int patch, int nodes_per_pitch
     }
   field::SolverOptions opts;
   opts.tolerance = 1e-5 * v;
-  const field::PhasorSolution sol = field::solve_phasor(
-      domain, patches, std::complex<double>{v, 0.0}, opts, nullptr, workspace);
+  return field::solve_phasor(domain, patches, std::complex<double>{v, 0.0}, opts, nullptr,
+                             workspace);
+}
 
-  const Vec2 cage_xy = local.center({center, center});
+field::HarmonicCage BiochipDevice::calibrate_cage(int patch, int nodes_per_pitch,
+                                                  field::MultigridWorkspace* workspace) const {
+  const field::PhasorSolution sol = solve_unit_cage(patch, nodes_per_pitch, workspace);
+  const ElectrodeArray local(patch, patch, config_.pitch, config_.metal_fill);
+  const Vec2 cage_xy = local.center({patch / 2, patch / 2});
   const Aabb search{{cage_xy.x - 0.9 * config_.pitch, cage_xy.y - 0.9 * config_.pitch,
                      0.10 * config_.chamber_height},
                     {cage_xy.x + 0.9 * config_.pitch, cage_xy.y + 0.9 * config_.pitch,

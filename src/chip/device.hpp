@@ -65,6 +65,12 @@ class BiochipDevice {
   /// Electrode footprints of the local patch, row-major.
   std::vector<Rect> local_footprints(int patch) const;
 
+  /// Solve the field of a single centered cage on a local patch: the center
+  /// electrode and the lid in phase, every other electrode in counter-phase.
+  /// This is the solve `calibrate_cage` fits its surrogate to.
+  field::PhasorSolution solve_unit_cage(int patch = 5, int nodes_per_pitch = 8,
+                                        field::MultigridWorkspace* workspace = nullptr) const;
+
   /// Solve the field of a single centered cage on a local patch and calibrate
   /// the harmonic cage surrogate. `nodes_per_pitch` trades accuracy for time.
   /// `workspace` (optional) caches the multigrid hierarchy across calls: a

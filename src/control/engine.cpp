@@ -1,6 +1,7 @@
 #include "control/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "cad/route.hpp"
@@ -336,8 +337,8 @@ bool EpisodeRuntime::all_delivered() const {
          supervisor_->all_delivered();
 }
 
-void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
-  const auto grad = [this](Vec3 p) { return owner_.engine_.field_model().grad_erms2(p); };
+core::RelaxWork EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
+  core::RelaxWork work;
   for (std::size_t n = nb; n < ne; ++n) {
     if (body_active_[n] == 0) continue;  // the cell left this chamber
     // Legacy keying indexes by (tick, slot) — valid because slots are never
@@ -347,9 +348,13 @@ void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
     Rng stream = owner_.config_.recycle_slots
                      ? phys_base_.fork(body_streams_[n]).fork(static_cast<std::uint64_t>(t))
                      : phys_base_.fork(static_cast<std::uint64_t>(t) * bodies_.size() + n);
-    for (std::size_t s = 0; s < substeps_; ++s)
-      owner_.engine_.integrator().step(bodies_[n], grad, stream);
+    // One exact in-basin step for a held cell, Euler-Maruyama substeps for
+    // everything else (core::ManipulationEngine::relax picks per body).
+    const core::RelaxWork w = owner_.engine_.relax(bodies_[n], substeps_, stream);
+    work.exact_steps += w.exact_steps;
+    work.em_substeps += w.em_substeps;
   }
+  return work;
 }
 
 void EpisodeRuntime::tick(int t) {
@@ -438,11 +443,19 @@ void EpisodeRuntime::tick(int t) {
   // selected above.
   owner_.engine_.field_model().set_sites(std::move(sites));
   if (pool_ != nullptr) {
+    // Integer work sums commute, so the totals are the serial ones bitwise.
+    std::atomic<std::size_t> exact{0}, em{0};
     pool_->parallel_for(0, bodies_.size(), [&](std::size_t nb, std::size_t ne) {
-      integrate_range(t, nb, ne);
+      const core::RelaxWork w = integrate_range(t, nb, ne);
+      exact.fetch_add(w.exact_steps, std::memory_order_relaxed);
+      em.fetch_add(w.em_substeps, std::memory_order_relaxed);
     });
+    report_.physics_exact_steps += exact.load();
+    report_.physics_em_substeps += em.load();
   } else {
-    integrate_range(t, 0, bodies_.size());
+    const core::RelaxWork w = integrate_range(t, 0, bodies_.size());
+    report_.physics_exact_steps += w.exact_steps;
+    report_.physics_em_substeps += w.em_substeps;
   }
   report_.elapsed += owner_.site_period_;
 

@@ -64,6 +64,10 @@ struct EpisodeReport {
   double elapsed = 0.0;  ///< physical episode time [s]
   std::size_t replans = 0;  ///< successful online re-routes
   std::size_t frames_sensed = 0;  ///< CDS frames averaged across all ticks
+  /// Physics work (deterministic counting plane): exact in-basin steps and
+  /// Euler-Maruyama substeps taken by all bodies over all ticks.
+  std::size_t physics_exact_steps = 0;
+  std::size_t physics_em_substeps = 0;
   std::vector<ControlEvent> events;  ///< full audit trail, chronological
   /// Ground-truth delivery accounting over the goal cages: a cage is
   /// delivered iff it sits at its destination with its cell inside the
@@ -185,6 +189,9 @@ class EpisodeRuntime {
 
   /// CDS frames averaged so far (streaming reports fold this per chamber).
   std::size_t frames_sensed() const { return report_.frames_sensed; }
+  /// Physics work so far (`EpisodeReport::physics_*`; streaming folds).
+  std::size_t physics_exact_steps() const { return report_.physics_exact_steps; }
+  std::size_t physics_em_substeps() const { return report_.physics_em_substeps; }
   /// Successful online re-routes so far (obs gauge fold).
   std::size_t replans() const {
     return replanner_.has_value() ? replanner_->replans() : 0;
@@ -292,7 +299,7 @@ class EpisodeRuntime {
 
  private:
   bool body_index_of(int cage_id, std::size_t& out) const;
-  void integrate_range(int t, std::size_t nb, std::size_t ne);
+  core::RelaxWork integrate_range(int t, std::size_t nb, std::size_t ne);
   /// True while every supervised cage is confirmed occupied on its nominal
   /// leg — the steady-state sense slow-down predicate.
   bool steady_state() const;

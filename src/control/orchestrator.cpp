@@ -194,6 +194,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     for (std::size_t c = 0; c < n_chambers; ++c) {
       report.final_truth_defects.push_back(runtimes[c]->truth_defects());
       report.health.push_back(runtimes[c]->health_state());
+      report.physics_exact_steps += runtimes[c]->physics_exact_steps();
+      report.physics_em_substeps += runtimes[c]->physics_em_substeps();
     }
   };
   report.planned = std::all_of(runtimes.begin(), runtimes.end(),

@@ -157,6 +157,9 @@ struct OrchestratorReport {
   std::vector<chip::DefectMap> final_truth_defects;
   std::vector<HealthState> health;
   std::size_t elided_chamber_ticks = 0;  ///< chamber-ticks skipped by elision
+  /// Physics work summed over chambers (`EpisodeReport::physics_*`).
+  std::size_t physics_exact_steps = 0;
+  std::size_t physics_em_substeps = 0;
 };
 
 /// Drives one multi-chamber episode over a `fluidic::ChamberNetwork`.

@@ -243,6 +243,8 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
         event_metric(*reg, static_cast<int>(c), static_cast<EventKind>(k));
     }
     reg->gauge("service.frames_sensed");
+    reg->gauge("service.physics_exact_steps");
+    reg->gauge("service.physics_em_substeps");
     reg->gauge("service.resident_bodies");
     reg->gauge("service.cage_slots");
     reg->counter("service.elided_ticks");
@@ -442,7 +444,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
         reg->set(reg->gauge("admission.queue_depth", static_cast<int>(i)),
                  static_cast<std::int64_t>(
                      admission.queue_depth(static_cast<int>(i))));
-      std::size_t frames = 0;
+      std::size_t frames = 0, exact = 0, em = 0;
       for (std::size_t c = 0; c < n_chambers; ++c) {
         reg->set(reg->gauge("service.in_flight", static_cast<int>(c)),
                  static_cast<std::int64_t>(in_flight[c].size()));
@@ -450,9 +452,15 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
                  static_cast<std::int64_t>(runtimes[c]->replans()));
         fold_health(*reg, static_cast<int>(c), runtimes[c]->health_state());
         frames += runtimes[c]->frames_sensed();
+        exact += runtimes[c]->physics_exact_steps();
+        em += runtimes[c]->physics_em_substeps();
       }
       reg->set(reg->gauge("service.frames_sensed"),
                static_cast<std::int64_t>(frames));
+      reg->set(reg->gauge("service.physics_exact_steps"),
+               static_cast<std::int64_t>(exact));
+      reg->set(reg->gauge("service.physics_em_substeps"),
+               static_cast<std::int64_t>(em));
       reg->set(reg->gauge("service.resident_bodies"),
                static_cast<std::int64_t>(resident));
       reg->set(reg->gauge("service.cage_slots"),
@@ -483,6 +491,8 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       ++report.event_counts[c][static_cast<std::size_t>(e.kind)];
     if (reg != nullptr) fold_events(*reg, static_cast<int>(c), drained);
     report.frames_sensed += runtimes[c]->frames_sensed();
+    report.physics_exact_steps += runtimes[c]->physics_exact_steps();
+    report.physics_em_substeps += runtimes[c]->physics_em_substeps();
     report.health.push_back(runtimes[c]->health_state());
     report.in_flight_end += in_flight[c].size();
   }

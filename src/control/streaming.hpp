@@ -112,6 +112,9 @@ struct StreamingReport {
   std::size_t peak_resident_bodies = 0; ///< max Σ body-array slots
   std::size_t peak_cage_slots = 0;      ///< max Σ cage-controller slots
   std::size_t frames_sensed = 0;        ///< CDS frames across all chambers
+  /// Physics work across all chambers (`EpisodeReport::physics_*`).
+  std::size_t physics_exact_steps = 0;
+  std::size_t physics_em_substeps = 0;
   /// `event_counts[c][k]` = events of `EventKind` k chamber c emitted.
   std::vector<std::vector<std::uint64_t>> event_counts;
   std::uint64_t injected_faults = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -147,58 +148,99 @@ Vec3 CageFieldModel::drive_from(Vec3 center, Vec3 p) const {
   return unit_.moved_to(center).grad_erms2(p);
 }
 
-Vec3 CageFieldModel::grad_erms2(Vec3 p) const {
-  // Nearest active trap wins; beyond the capture radius the background field
-  // is laterally uniform and exerts no DEP drive.
-  if (sites_.empty()) return {};
-  const double cap2 = capture_radius_ * capture_radius_;
-  const double dz = p.z - unit_.center.z;  // all traps share the cage height
-  if (dz * dz > cap2) return {};
-
-  // Candidate sites: those whose center (site + 0.5)·pitch lies within the
-  // capture radius of p on each axis — a constant-size box independent of
-  // the active cage count.
-  const double lo_c = (p.x - capture_radius_) / pitch_ - 0.5;
-  const double hi_c = (p.x + capture_radius_) / pitch_ - 0.5;
-  const double lo_r = (p.y - capture_radius_) / pitch_ - 0.5;
-  const double hi_r = (p.y + capture_radius_) / pitch_ - 0.5;
-  // Queries so far out (or radii so large) that site indices leave the int
+template <typename Visit>
+void CageFieldModel::for_each_site_near(Vec3 p, double reach, Visit&& visit) const {
+  if (sites_.empty()) return;
+  const auto visit_all = [&] {
+    for (const GridCoord site : sites_) visit(site, trap_center(site));
+  };
+  // Candidate sites: those whose center (site + 0.5)·pitch lies within
+  // `reach` of p on each axis — a constant-size box independent of the
+  // active cage count.
+  const double lo_c = (p.x - reach) / pitch_ - 0.5;
+  const double hi_c = (p.x + reach) / pitch_ - 0.5;
+  const double lo_r = (p.y - reach) / pitch_ - 0.5;
+  const double hi_r = (p.y + reach) / pitch_ - 0.5;
+  // Queries so far out (or reaches so large) that site indices leave the int
   // range cannot use the rounding trick; the scan handles them correctly.
   const double coord_limit = 2147483000.0;
   if (!(std::fabs(lo_c) < coord_limit && std::fabs(hi_c) < coord_limit &&
         std::fabs(lo_r) < coord_limit && std::fabs(hi_r) < coord_limit))
-    return grad_erms2_linear(p);
+    return visit_all();
   const auto cmin = static_cast<std::int64_t>(std::ceil(lo_c));
   const auto cmax = static_cast<std::int64_t>(std::floor(hi_c));
   const auto rmin = static_cast<std::int64_t>(std::ceil(lo_r));
   const auto rmax = static_cast<std::int64_t>(std::floor(hi_r));
-  if (cmax < cmin || rmax < rmin) return {};
+  if (cmax < cmin || rmax < rmin) return;
 
-  // Degenerate configuration (capture radius spanning more candidate sites
-  // than there are live cages): the scan is the cheaper probe.
+  // Degenerate configuration (reach spanning more candidate sites than there
+  // are live cages): the scan is the cheaper probe.
   const std::uint64_t box_cells = static_cast<std::uint64_t>(cmax - cmin + 1) *
                                   static_cast<std::uint64_t>(rmax - rmin + 1);
-  if (box_cells > sites_.size()) return grad_erms2_linear(p);
+  if (box_cells > sites_.size()) return visit_all();
 
-  double best_d2 = cap2;
-  bool found = false;
-  GridCoord best_site;
-  Vec3 best_center;
   for (std::int64_t r = rmin; r <= rmax; ++r)
     for (std::int64_t c = cmin; c <= cmax; ++c) {
       const GridCoord site{static_cast<int>(c), static_cast<int>(r)};
-      if (!site_active(site)) continue;
-      const Vec3 center = trap_center(site);
-      const double d2 = (p - center).norm2();
-      if (d2 > best_d2) continue;
-      if (found && !closer_site(d2, site, best_d2, best_site)) continue;
-      best_d2 = d2;
-      best_site = site;
-      best_center = center;
-      found = true;
+      if (site_active(site)) visit(site, trap_center(site));
     }
-  return found ? drive_from(best_center, p) : Vec3{};
 }
+
+CageFieldModel::Basin CageFieldModel::nearest(Vec3 p) const {
+  // Nearest active trap wins; beyond the capture radius the background field
+  // is laterally uniform and exerts no DEP drive.
+  Basin b;
+  const double cap2 = capture_radius_ * capture_radius_;
+  const double dz = p.z - unit_.center.z;  // all traps share the cage height
+  if (dz * dz > cap2) return b;
+  double best_d2 = cap2;
+  for_each_site_near(p, capture_radius_, [&](GridCoord site, Vec3 center) {
+    const double d2 = (p - center).norm2();
+    if (d2 > best_d2) return;
+    if (b.found && !closer_site(d2, site, best_d2, b.site)) return;
+    best_d2 = d2;
+    b.site = site;
+    b.center = center;
+    b.found = true;
+  });
+  return b;
+}
+
+CageFieldModel::Basin CageFieldModel::basin(Vec3 p, double margin) const {
+  Basin b = nearest(p);
+  if (!b.found) return b;
+
+  // Bisector gaps. For another trap j at lateral separation s from the
+  // pick, p's distance to their bisector is (|p−c_j|² − |p−c_i|²) / (2s)
+  // >= (|p−c_j| − |p−c_i|) / 2, so only traps with |p−c_j| < |p−c_i| +
+  // 2·margin can bring the wall within `margin` of p; the same traps bound
+  // the trap center's gap s/2 below margin.
+  b.wall_gap = std::numeric_limits<double>::infinity();
+  const double di = std::hypot(p.x - b.center.x, p.y - b.center.y);
+  const double reach = di + 2.0 * margin;
+  for_each_site_near(p, reach, [&](GridCoord site, Vec3 center) {
+    if (site == b.site) return;
+    const double dj2 = (p.x - center.x) * (p.x - center.x) +
+                       (p.y - center.y) * (p.y - center.y);
+    if (dj2 >= reach * reach) return;
+    const double sep = std::hypot(center.x - b.center.x, center.y - b.center.y);
+    const double gap = (dj2 - di * di) / (2.0 * sep);
+    b.wall_gap = std::min({b.wall_gap, gap, 0.5 * sep});
+  });
+  return b;
+}
+
+double CageFieldModel::ball_clearance(Vec3 p) const {
+  // Sites outside the scanned box lie farther than `reach` from p.
+  const double reach = capture_radius_ + pitch_;
+  double nearest = reach;
+  for_each_site_near(p, reach, [&](GridCoord, Vec3 center) {
+    nearest = std::min(nearest, (p - center).norm());
+  });
+  return nearest - capture_radius_;
+}
+
+Vec3 CageFieldModel::grad_erms2(Vec3 p) const { return drive(nearest(p), p); }
 
 Vec3 CageFieldModel::grad_erms2_linear(Vec3 p) const {
   double best_d2 = capture_radius_ * capture_radius_;
@@ -279,6 +321,71 @@ void ManipulationEngine::settle(physics::ParticleBody& particle, double duration
   const auto steps = static_cast<std::size_t>(std::round(duration / dt));
   for (std::size_t s = 0; s < steps; ++s)
     integrator_.step(particle, [this](Vec3 p) { return field_.grad_erms2(p); }, rng);
+}
+
+RelaxWork ManipulationEngine::relax(physics::ParticleBody& body, std::size_t substeps,
+                                   Rng& rng) const {
+  RelaxWork work;
+  const physics::OverdampedIntegrator::StepConstants k = integrator_.step_constants(body);
+  // OU parameters in the unit cage; only the lateral equilibrium moves with
+  // the trap (every trap shares the unit cage's height).
+  const physics::OverdampedIntegrator::CageRelaxation unit =
+      integrator_.relaxation(body, field_.unit());
+  const double margin = kExactMarginSpreads * unit.spread;
+  const double dt = integrator_.options().dt;
+  // Outside every capture ball the drive is zero, and it stays zero while
+  // the body has moved less than its clearance to the nearest ball: free
+  // bodies skip the trap query until they have used the clearance up.
+  double clearance = 0.0;
+  for (std::size_t s = 0; s < substeps; ++s) {
+    Vec3 drive;
+    if (clearance <= 0.0) {
+      const CageFieldModel::Basin basin = field_.basin(body.position, margin);
+      if (exact_basin(body, basin, unit, margin)) {
+        physics::OverdampedIntegrator::CageRelaxation cage = unit;
+        cage.equilibrium.x = basin.center.x;
+        cage.equilibrium.y = basin.center.y;
+        integrator_.exact_step(body, cage, dt * static_cast<double>(substeps - s), rng);
+        ++work.exact_steps;
+        return work;
+      }
+      // The basin query made the grad_erms2 pick at this very position.
+      drive = field_.drive(basin, body.position);
+      if (!basin.found) clearance = field_.ball_clearance(body.position);
+    }
+    const Vec3 before = body.position;
+    integrator_.step(body, k, [drive](Vec3) { return drive; }, rng);
+    ++work.em_substeps;
+    // A picometre of slack absorbs rounding in the distance bookkeeping.
+    if (clearance > 0.0) clearance -= (body.position - before).norm() + 1e-12;
+  }
+  return work;
+}
+
+bool ManipulationEngine::exact_basin(
+    const physics::ParticleBody& body, const CageFieldModel::Basin& basin,
+    const physics::OverdampedIntegrator::CageRelaxation& unit, double margin) const {
+  if (!unit.holds() || !basin.found || basin.wall_gap < margin) return false;
+  // Capture ball: the lateral offset only shrinks along the mean path and
+  // the vertical one moves monotonically from the start to the sag, so the
+  // farthest point of the path is bounded by (start lateral, worse of the
+  // two vertical offsets).
+  const double room = field_.capture_radius() - margin;
+  if (room <= 0.0) return false;
+  const Vec3 d = body.position - basin.center;
+  const double dz_eq = unit.equilibrium.z - basin.center.z;
+  if (d.x * d.x + d.y * d.y + std::max(d.z * d.z, dz_eq * dz_eq) > room * room)
+    return false;
+  // Chamber bounds shrunk by radius + margin hold both endpoints.
+  const Aabb& box = integrator_.options().bounds;
+  const double inset = body.radius + margin;
+  const auto inside = [&](Vec3 q) {
+    return q.x >= box.min.x + inset && q.x <= box.max.x - inset &&
+           q.y >= box.min.y + inset && q.y <= box.max.y - inset &&
+           q.z >= box.min.z + inset && q.z <= box.max.z - inset;
+  };
+  return inside(body.position) &&
+         inside({basin.center.x, basin.center.y, unit.equilibrium.z});
 }
 
 }  // namespace biochip::core

@@ -8,8 +8,10 @@
 /// cage surrogate once (full local solve, see BiochipDevice::calibrate_cage)
 /// and evaluates every active cage as a translated copy; outside all cages
 /// the background field is laterally uniform (zero DEP drive, gravity only).
-/// The surrogate-vs-solver error is quantified in `bench_field_solver`.
+/// The surrogate-vs-solver error is quantified in `bench_field_solver` and
+/// bounded on capture shells in tests/test_chip.cpp.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,7 +68,43 @@ class CageFieldModel {
   /// candidate sites than there are active cages.
   Vec3 grad_erms2_linear(Vec3 p) const;
 
+  /// The trap basin p sits in. A trap's basin is the part of its capture
+  /// ball where it is the nearest active trap; since every trap shares the
+  /// unit cage's height, the walls between basins are vertical bisector
+  /// planes, and each basin is convex.
+  struct Basin {
+    bool found = false;  ///< p lies within the capture radius of an active trap
+    GridCoord site;      ///< the trap whose drive acts at p (grad_erms2's pick)
+    Vec3 center;         ///< its center
+    /// Smaller of the xy distances from p, and from the trap center, to the
+    /// nearest bisector plane shared with another active trap. Exact when
+    /// below the query's `margin`; otherwise only known to be >= margin
+    /// (infinity when no other trap is near enough to matter).
+    double wall_gap = 0.0;
+  };
+
+  /// Basin query behind the exact in-basin stepper: the same nearest-trap
+  /// pick as grad_erms2 (so `drive(b, p)` equals grad_erms2(p) bitwise) plus
+  /// the bisector gap, resolved down to `margin`. O(1): the hashed box scan
+  /// of grad_erms2 widened by 2·margin, then one more pass over the sites
+  /// that can bound the basin within `margin` of p.
+  Basin basin(Vec3 p, double margin) const;
+  /// How far p may move before it can enter any active trap's capture ball
+  /// (so the drive stays exactly zero until then): the distance to the
+  /// nearest ball, capped at one pitch. Only meaningful where grad_erms2 is
+  /// zero; O(1), one hashed box scan.
+  double ball_clearance(Vec3 p) const;
+  /// ∇E_rms² at p of the trap a basin query picked (zero when none).
+  Vec3 drive(const Basin& b, Vec3 p) const { return b.found ? drive_from(b.center, p) : Vec3{}; }
+
  private:
+  /// Visit every active site whose center may lie within `reach` of p on
+  /// both lateral axes (a superset: degenerate configurations visit the
+  /// whole site list). Visiting order is unspecified.
+  template <typename Visit>
+  void for_each_site_near(Vec3 p, double reach, Visit&& visit) const;
+  /// The nearest-trap pick of grad_erms2 (`wall_gap` left at 0).
+  Basin nearest(Vec3 p) const;
   /// O(1) membership probe of the active-site hash set.
   bool site_active(GridCoord site) const;
   /// Drive field of the cage parked at `center`, evaluated at p.
@@ -99,6 +137,12 @@ struct TowReport {
   Vec3 final_position;         ///< particle position at the end
 };
 
+/// Integration work of one `ManipulationEngine::relax` call.
+struct RelaxWork {
+  std::size_t exact_steps = 0;  ///< exact in-basin (Ornstein-Uhlenbeck) steps
+  std::size_t em_substeps = 0;  ///< Euler-Maruyama substeps of length dt
+};
+
 /// Physics-in-the-loop cage tow: advance the cage one site at a time at
 /// `site_period` per step, integrating the particle between steps.
 class ManipulationEngine {
@@ -121,7 +165,34 @@ class ManipulationEngine {
   /// Let a free (untrapped) particle settle for `duration` seconds.
   void settle(physics::ParticleBody& particle, double duration, Rng& rng);
 
+  /// Advance a body by `substeps`·dt against the current (static) trap set.
+  /// While the body qualifies for the in-basin test (`exact_basin`) it takes
+  /// ONE exact Ornstein-Uhlenbeck step for all the remaining time; until
+  /// then it takes Euler-Maruyama substeps, re-testing before each one (a
+  /// body may switch to the exact step mid-call, never back). Draws from
+  /// `rng` only; const and safe to call concurrently on distinct bodies.
+  RelaxWork relax(physics::ParticleBody& body, std::size_t substeps, Rng& rng) const;
+
+  /// Margin of the in-basin test, in units of the body's transition spread
+  /// (`CageRelaxation::spread`, the stationary standard deviation, which
+  /// bounds the spread at every step length). An 8σ excursion has odds of
+  /// ~1e-15, so the exact path leaves the basin about never; the margin is
+  /// ~0.3–0.4 µm for paper-scale cells against a 30 µm capture radius.
+  static constexpr double kExactMarginSpreads = 8.0;
+
  private:
+  /// The in-basin test. True when the body's nearest active trap holds it
+  /// (nDEP: both stiffnesses positive) and both the body and the trap's
+  /// gravity-sagged equilibrium lie at least `margin` inside the basin: the
+  /// capture ball, the bisector planes with every other active trap, and
+  /// the chamber bounds shrunk by the body radius. The mean path of the
+  /// exact step runs between those two points — laterally a straight
+  /// segment toward the center, vertically monotone — and the basin is
+  /// convex, so checking the endpoints covers the whole path.
+  bool exact_basin(const physics::ParticleBody& body, const CageFieldModel::Basin& basin,
+                   const physics::OverdampedIntegrator::CageRelaxation& unit,
+                   double margin) const;
+
   CageFieldModel field_;
   physics::OverdampedIntegrator integrator_;
 };

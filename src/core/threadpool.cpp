@@ -1,10 +1,45 @@
 #include "core/threadpool.hpp"
 
 #include <algorithm>
+#include <thread>
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/error.hpp"
 
 namespace biochip::core {
+
+namespace {
+
+// Spin budget before a thread parks on a condition variable: a few pause
+// rounds, then a bounded run of yields. Supervisory tick loops issue jobs
+// back to back, tens to hundreds of microseconds apart; a futex park and
+// wake per job costs about as much as the job itself there.
+constexpr int kPauseRounds = 64;
+constexpr int kYieldRounds = 200;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+// Spin until `ready()` or the budget runs out; returns ready().
+template <typename Ready>
+bool spin_until(Ready&& ready) {
+  for (int i = 0; i < kPauseRounds; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+  }
+  for (int i = 0; i < kYieldRounds; ++i) {
+    if (ready()) return true;
+    std::this_thread::yield();
+  }
+  return ready();
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   std::size_t total = threads;
@@ -41,7 +76,14 @@ void ThreadPool::run_chunk(std::size_t part, std::size_t parts) {
 void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    {
+    // A new job is visible once ticket_ carries its generation (the release
+    // store that publishes it comes last), so spin on that before parking.
+    const bool fresh = spin_until([&] {
+      return (ticket_.load(std::memory_order_acquire) >> kPartBits) != seen;
+    });
+    if (fresh) {
+      seen = ticket_.load(std::memory_order_acquire) >> kPartBits;
+    } else {
       std::unique_lock lk(m_);
       wake_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
@@ -119,6 +161,7 @@ void ThreadPool::parallel_for(
     run_chunk(part, parts);
     parts_done_.fetch_add(1, std::memory_order_acq_rel);
   }
+  spin_until([&] { return parts_done_.load(std::memory_order_acquire) == parts; });
   {
     std::unique_lock lk(m_);
     done_cv_.wait(lk, [&] {

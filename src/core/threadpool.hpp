@@ -9,7 +9,11 @@
 ///
 /// Design rules:
 ///  * Workers are created once and parked on a condition variable between
-///    jobs — parallel_for has no per-call thread spawn cost.
+///    jobs — parallel_for has no per-call thread spawn cost. Before parking,
+///    a worker spins briefly (pause rounds, then a bounded run of yields) on
+///    the job ticket, and the caller does the same on the completion count,
+///    so back-to-back jobs (one per supervisory tick) skip the futex
+///    wake-up on both sides.
 ///  * Work is split into contiguous chunks (static chunking); the calling
 ///    thread participates, so a pool of W workers yields W+1-way parallelism.
 ///  * Chunks must be independent: parallel_for gives no ordering guarantee

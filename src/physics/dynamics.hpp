@@ -4,9 +4,16 @@
 ///
 /// At cell scale the particle Reynolds number is ~1e-5 and inertia decays in
 /// microseconds, so dynamics are overdamped: velocity = force / drag. The
-/// integrator is Euler-Maruyama with an optional Brownian term whose
+/// general integrator is Euler-Maruyama with an optional Brownian term whose
 /// amplitude is consistent with the (wall-corrected) drag via
 /// fluctuation-dissipation.
+///
+/// Inside one harmonic cage the force is linear, so the motion is an
+/// Ornstein-Uhlenbeck process per axis and has an exact Gaussian transition
+/// for any step length (`exact_step`). "Exact" is with respect to the
+/// harmonic surrogate (field::HarmonicCage), not the solved field; the
+/// surrogate's own error against the solved field is bounded in
+/// tests/test_chip.cpp.
 
 #include <concepts>
 #include <vector>
@@ -14,6 +21,7 @@
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "field/analytic.hpp"
 #include "physics/brownian.hpp"
 #include "physics/drag.hpp"
 #include "physics/medium.hpp"
@@ -54,25 +62,65 @@ class OverdampedIntegrator {
   const DynamicsOptions& options() const { return opts_; }
   const Medium& medium() const { return medium_; }
 
+  /// Per-body constants of the Euler-Maruyama step. They depend only on the
+  /// body (radius, density) and the options, so substep loops compute them
+  /// once per body instead of once per substep.
+  struct StepConstants {
+    double gamma = 0.0;   ///< bulk Stokes drag 6πηR [N·s/m]
+    double weight = 0.0;  ///< buoyant weight [N] (0 when gravity is off)
+    double kick2 = 0.0;   ///< 2·kB·T·dt: Brownian variance times drag [J·s]
+  };
+  StepConstants step_constants(const ParticleBody& p) const;
+
   /// Advance one particle by one step under the given field gradient.
   template <FieldGradient GradFn>
   void step(ParticleBody& p, GradFn&& grad_erms2, Rng& rng) const {
-    double gamma = stokes_drag_coefficient(medium_, p.radius);
+    step(p, step_constants(p), grad_erms2, rng);
+  }
+
+  /// Same step with the body's constants precomputed (`step_constants(p)`).
+  /// `grad_erms2` is evaluated exactly once, at the starting position.
+  template <FieldGradient GradFn>
+  void step(ParticleBody& p, const StepConstants& k, GradFn&& grad_erms2,
+            Rng& rng) const {
+    double gamma = k.gamma;
     if (opts_.wall_correction) {
       const double wall_gap = p.position.z - opts_.bounds.min.z;
       gamma *= faxen_wall_correction(p.radius, std::max(wall_gap, p.radius));
     }
     Vec3 force = static_cast<Vec3>(grad_erms2(p.position)) * p.dep_prefactor;
-    if (opts_.gravity) force.z += buoyant_weight(medium_, p.radius, p.density);
+    if (opts_.gravity) force.z += k.weight;
     Vec3 dx = force * (opts_.dt / gamma);
     if (opts_.brownian) {
-      const double s =
-          std::sqrt(2.0 * constants::kB * medium_.temperature * opts_.dt / gamma);
+      const double s = std::sqrt(k.kick2 / gamma);
       dx += Vec3{s * rng.normal(), s * rng.normal(), s * rng.normal()};
     }
     p.position += dx;
     confine(p);
   }
+
+  /// Ornstein-Uhlenbeck parameters of one body held in one harmonic cage.
+  struct CageRelaxation {
+    Vec3 equilibrium;     ///< mean resting point: cage center, sagged by gravity
+    double k_r = 0.0;     ///< radial stiffness −prefactor·c_r [N/m]
+    double k_z = 0.0;     ///< vertical stiffness −prefactor·c_z [N/m]
+    /// sqrt(kB·T / min(k_r, k_z)): the largest per-axis standard deviation
+    /// of the transition density, at any step length [m].
+    double spread = 0.0;
+    /// True when both stiffnesses restore (nDEP body in a closed cage).
+    bool holds() const { return k_r > 0.0 && k_z > 0.0; }
+  };
+  CageRelaxation relaxation(const ParticleBody& p, const field::HarmonicCage& cage) const;
+
+  /// Advance a body held by one cage (`relaxation(p, cage)`, which must
+  /// hold) by `duration` seconds in one exact Gaussian step. Per axis the
+  /// mean relaxes as e^{−kt/γ} toward the equilibrium and the variance is
+  /// (kB·T/k)(1 − e^{−2kt/γ}); with Brownian motion off only the mean moves.
+  /// The drag γ (Faxén-corrected when enabled) is frozen at the starting
+  /// height. Draws three normals (x, y, z) when Brownian motion is on; the
+  /// result is confined to the bounds like every Euler step.
+  void exact_step(ParticleBody& p, const CageRelaxation& cage, double duration,
+                  Rng& rng) const;
 
   /// Advance a population by `steps` steps (serial; one shared RNG stream).
   template <FieldGradient GradFn>

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "chip/actuation.hpp"
@@ -356,6 +357,53 @@ TEST(Device, LocalDomainResolution) {
   EXPECT_NEAR(d.spacing, 2.5_um, 1e-12);
   EXPECT_EQ(d.nodes_x(), 41u);  // 5 pitches * 8 + 1
   EXPECT_THROW(dev.local_domain(4, 8), PreconditionError);  // even patch
+}
+
+// ------------------------------------------------ surrogate error bound ----
+
+// The exact in-basin stepper is exact with respect to the harmonic cage
+// surrogate, not the solved field. This pins how far the surrogate's
+// ∇E_rms² strays from the phasor solve it was calibrated on (the paper
+// device, 5×5 patch, 6 nodes/pitch — the calibration the service benches
+// use), on spherical shells around the cage center inside the 30 µm capture
+// radius. 400 Fibonacci-sphere points per shell; points lower than one cell
+// radius (5 µm) above the floor are skipped.
+//  - lateral: max |Δ∇_xy| / (c_r·ρ) over the equatorial band |z − z₀| <= ρ/4,
+//    where held and towed cells sit;
+//  - vertical: max |Δ∇_z| / (c_z·ρ) over the whole shell.
+// Bounds are the measured values plus 10%. Laterally the surrogate is good
+// to 3.5% at 2 µm and 6% at 5 µm (a held cell's σ_r is ~0.05 µm) but its
+// force is ~2× too stiff at a full pitch. Vertically it is a secant over
+// ±10 µm of a strongly asymmetric profile (steeper toward the electrodes),
+// and the true vertical minimum sits ~0.35 µm above the fitted center.
+TEST(Device, HarmonicSurrogateGradientBoundOnCaptureShells) {
+  const BiochipDevice dev(paper_config_on_node(paper_node()));
+  const field::PhasorSolution sol = dev.solve_unit_cage(5, 6);
+  const field::HarmonicCage cage = dev.calibrate_cage(5, 6);
+  struct Shell {
+    double rho, lateral, vertical;
+  };
+  const Shell shells[] = {{2e-6, 0.039, 0.84},  {5e-6, 0.063, 0.94},
+                          {10e-6, 0.27, 3.3},   {15e-6, 0.55, 11.5},
+                          {20e-6, 0.79, 15.2},  {30e-6, 1.12, 1.10}};
+  const int n = 400;
+  for (const Shell& sh : shells) {
+    double lateral = 0.0, vertical = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double cz = 1.0 - 2.0 * (i + 0.5) / n;
+      const double sz = std::sqrt(1.0 - cz * cz);
+      const double phi = i * 2.399963229728653;  // golden angle
+      const Vec3 p = cage.center + Vec3{sh.rho * sz * std::cos(phi),
+                                        sh.rho * sz * std::sin(phi), sh.rho * cz};
+      if (p.z < 5e-6) continue;
+      const Vec3 d = sol.grad_erms2_at(p) - cage.grad_erms2(p);
+      if (std::fabs(cz) <= 0.25)
+        lateral = std::max(lateral, std::hypot(d.x, d.y) / (cage.c_r * sh.rho));
+      vertical = std::max(vertical, std::fabs(d.z) / (cage.c_z * sh.rho));
+    }
+    EXPECT_LE(lateral, sh.lateral) << "rho " << sh.rho;
+    EXPECT_LE(vertical, sh.vertical) << "rho " << sh.rho;
+  }
 }
 
 }  // namespace

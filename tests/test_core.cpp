@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include <memory>
 
@@ -331,6 +332,152 @@ TEST_F(EngineTest, NonAdjacentPathRejected) {
   physics::ParticleBody cell = cell_at({5, 5});
   Rng rng(24);
   EXPECT_THROW(engine_->tow(cell, {{5, 5}, {7, 5}}, 0.4, rng), PreconditionError);
+}
+
+// ------------------------------------------- exact in-basin stepping ----
+
+TEST(CageFieldModel, BasinPicksTheGradientTrapAndMeasuresBisectorGap) {
+  CageFieldModel model(test_cage(), 20e-6, 30e-6);
+  model.set_sites({{5, 5}, {7, 5}});
+  const Vec3 c5 = model.trap_center({5, 5});
+  // 6 µm toward the neighbor 40 µm away: the bisector is 20 µm from c5.
+  const Vec3 p = c5 + Vec3{6e-6, 1e-6, 0.0};
+  const CageFieldModel::Basin b = model.basin(p, 20e-6);
+  ASSERT_TRUE(b.found);
+  EXPECT_EQ(b.site, (GridCoord{5, 5}));
+  EXPECT_EQ(model.drive(b, p), model.grad_erms2(p));
+  EXPECT_NEAR(b.wall_gap, 14e-6, 1e-12);
+  // With a small margin the neighbor cannot bound the basin near p.
+  EXPECT_EQ(model.basin(p, 1e-6).wall_gap, std::numeric_limits<double>::infinity());
+  // Outside every capture ball: nothing found, zero drive.
+  const CageFieldModel::Basin out = model.basin(c5 + Vec3{0.0, 35e-6, 0.0}, 1e-6);
+  EXPECT_FALSE(out.found);
+  EXPECT_EQ(model.drive(out, c5), (Vec3{}));
+}
+
+TEST(CageFieldModel, BasinDriveEqualsGradientEverywhere) {
+  // The EM fallback of the exact stepper takes its drive from the basin
+  // query, so it must be bitwise the grad_erms2 field, ties included.
+  CageFieldModel model = tie_model();
+  model.set_sites({{0, 0}, {2, 0}, {1, 2}, {4, 4}, {4, 4}, {6, 3}});
+  Rng rng(404);
+  for (int q = 0; q < 4000; ++q) {
+    const Vec3 p{rng.uniform(-2.0, 9.0), rng.uniform(-2.0, 7.0), rng.uniform(-1.0, 1.0)};
+    const CageFieldModel::Basin b = model.basin(p, rng.uniform(0.0, 0.5));
+    ASSERT_EQ(model.drive(b, p), model.grad_erms2(p)) << "q=" << q;
+    ASSERT_EQ(model.drive(b, p), model.grad_erms2_linear(p)) << "q=" << q;
+    if (b.found) {
+      ASSERT_GE(b.wall_gap, 0.0);
+      ASSERT_GT(model.ball_clearance(p), -1e-12 - model.capture_radius());
+    } else {
+      ASSERT_GT(model.ball_clearance(p), 0.0) << "q=" << q;
+    }
+  }
+  // Exact midpoint between the traps at sites (0,0) and (2,0) (centers
+  // x = 1 and x = 5): zero gap.
+  EXPECT_EQ(model.basin({3.0, 1.0, 0.0}, 0.1).wall_gap, 0.0);
+}
+
+// Which path a body takes on its first substep: 1 exact step (all 400
+// substeps' worth of time) or 1 Euler-Maruyama substep.
+class ExactSelectionTest : public EngineTest {
+ protected:
+  RelaxWork first(physics::ParticleBody body) {
+    Rng rng(31);
+    return engine_->relax(body, 1, rng);
+  }
+  double margin(const physics::ParticleBody& body) {
+    return ManipulationEngine::kExactMarginSpreads *
+           engine_->integrator().relaxation(body, cage_).spread;
+  }
+};
+
+TEST_F(ExactSelectionTest, HeldCellTakesOneExactStep) {
+  engine_->field_model().set_sites({{8, 8}, {10, 8}});
+  physics::ParticleBody cell = cell_at({8, 8});
+  Rng rng(32);
+  const RelaxWork w = engine_->relax(cell, 400, rng);
+  EXPECT_EQ(w.exact_steps, 1u);
+  EXPECT_EQ(w.em_substeps, 0u);
+  const Vec3 trap = engine_->field_model().trap_center({8, 8});
+  EXPECT_LT((cell.position - trap).norm(), 1e-6);
+}
+
+TEST_F(ExactSelectionTest, TieMidpointFallsBack) {
+  engine_->field_model().set_sites({{8, 8}, {10, 8}});
+  physics::ParticleBody cell = cell_at({9, 8});  // equidistant from both traps
+  EXPECT_EQ(first(cell).em_substeps, 1u);
+  EXPECT_EQ(first(cell).exact_steps, 0u);
+}
+
+TEST_F(ExactSelectionTest, CaptureShellWithinMarginFallsBack) {
+  engine_->field_model().set_sites({{8, 8}});
+  physics::ParticleBody cell = cell_at({8, 8});
+  const double m = margin(cell);
+  ASSERT_GT(m, 0.0);
+  cell.position.x += 30e-6 - 0.5 * m;
+  EXPECT_EQ(first(cell).em_substeps, 1u);
+  // Just inside the margin-shrunk ball the exact step applies.
+  cell.position.x -= 2.0 * m;
+  EXPECT_EQ(first(cell).exact_steps, 1u);
+}
+
+TEST_F(ExactSelectionTest, BodyNearAWallFallsBack) {
+  // Trap at the chamber edge: a cell pressed against the side wall is in
+  // the capture ball but within the margin of the shrunk bounds.
+  engine_->field_model().set_sites({{0, 8}});
+  physics::ParticleBody cell = cell_at({0, 8});
+  cell.position.x = engine_->integrator().options().bounds.min.x + cell.radius;
+  EXPECT_EQ(first(cell).em_substeps, 1u);
+  // A cell resting on the floor below its trap falls back too.
+  physics::ParticleBody floor_cell = cell_at({0, 8});
+  floor_cell.position.z = cell.radius;
+  EXPECT_EQ(first(floor_cell).em_substeps, 1u);
+}
+
+TEST_F(ExactSelectionTest, PdepBodyFallsBack) {
+  engine_->field_model().set_sites({{8, 8}});
+  physics::ParticleBody cell = cell_at({8, 8});
+  cell.dep_prefactor = std::fabs(cell.dep_prefactor);
+  EXPECT_EQ(first(cell).em_substeps, 1u);
+  EXPECT_EQ(first(cell).exact_steps, 0u);
+}
+
+TEST_F(ExactSelectionTest, BodySwitchesToExactMidCallOnceItQualifies) {
+  // Released near the capture shell, the cell relaxes inward under Euler
+  // steps until it clears the margin, then finishes with one exact step.
+  engine_->field_model().set_sites({{8, 8}});
+  physics::ParticleBody cell = cell_at({8, 8});
+  cell.position.x += 30e-6 - 0.5 * margin(cell);
+  Rng rng(33);
+  const RelaxWork w = engine_->relax(cell, 400, rng);
+  EXPECT_EQ(w.exact_steps, 1u);
+  EXPECT_GE(w.em_substeps, 1u);
+  EXPECT_LT(w.em_substeps, 400u);
+}
+
+TEST_F(ExactSelectionTest, FallbackIsBitwiseThePlainEulerLoop) {
+  // Bodies that never qualify (a pDEP cell in a trap, a free cell sinking
+  // outside every capture ball) take exactly the substeps the plain
+  // per-substep loop over OverdampedIntegrator::step takes.
+  engine_->field_model().set_sites({{8, 8}, {12, 8}});
+  physics::ParticleBody pdep = cell_at({8, 8});
+  pdep.dep_prefactor = std::fabs(pdep.dep_prefactor);
+  pdep.position.x += 4e-6;
+  physics::ParticleBody free_cell = cell_at({20, 20});
+  free_cell.position.z = 60e-6;
+  for (const physics::ParticleBody& start : {pdep, free_cell}) {
+    physics::ParticleBody a = start, b = start;
+    Rng ra(34), rb(34);
+    const RelaxWork w = engine_->relax(a, 400, ra);
+    EXPECT_EQ(w.em_substeps, 400u);
+    EXPECT_EQ(w.exact_steps, 0u);
+    const CageFieldModel& field = engine_->field_model();
+    for (int s = 0; s < 400; ++s)
+      engine_->integrator().step(b, [&](Vec3 q) { return field.grad_erms2(q); }, rb);
+    EXPECT_EQ(a.position, b.position);
+    EXPECT_EQ(ra(), rb());
+  }
 }
 
 // ---------------------------------------------------- parallel transporter ----

@@ -342,6 +342,25 @@ TEST_F(ObsStreamingTest, CountingSnapshotBitwiseIdenticalSerialVsPooled) {
   EXPECT_TRUE(serial_report == pooled_report);
   EXPECT_TRUE(serial_snap == pooled_snap);
   EXPECT_GT(serial_snap.metrics.size(), 20u);
+  // Physics work counters, pinned on their own: the exact in-basin stepper
+  // and its Euler fallback did the same work on both paths, and both ran.
+  EXPECT_EQ(serial_report.physics_exact_steps, pooled_report.physics_exact_steps);
+  EXPECT_EQ(serial_report.physics_em_substeps, pooled_report.physics_em_substeps);
+  EXPECT_GT(serial_report.physics_exact_steps, 0u);
+  EXPECT_GT(serial_report.physics_em_substeps, 0u);
+  for (const char* name : {"service.physics_exact_steps", "service.physics_em_substeps"}) {
+    const auto find = [&](const MetricsSnapshot& snap) -> const Metric* {
+      for (const Metric& m : snap.metrics)
+        if (m.name == name) return &m;
+      return nullptr;
+    };
+    const Metric* a = find(serial_snap);
+    const Metric* b = find(pooled_snap);
+    ASSERT_NE(a, nullptr) << name;
+    ASSERT_NE(b, nullptr) << name;
+    EXPECT_EQ(a->ivalue, b->ivalue) << name;
+    EXPECT_GT(a->ivalue, 0) << name;
+  }
   // The hostile schedule actually exercised the system.
   EXPECT_GT(serial_report.admission.offered, 10u);
   EXPECT_GT(serial_report.delivered, 0u);
@@ -372,6 +391,12 @@ TEST_F(ObsStreamingTest, RegistryReconcilesWithStreamingReport) {
   EXPECT_EQ(static_cast<std::size_t>(
                 reg.find("service.frames_sensed")->ivalue),
             report.frames_sensed);
+  EXPECT_EQ(static_cast<std::size_t>(
+                reg.find("service.physics_exact_steps")->ivalue),
+            report.physics_exact_steps);
+  EXPECT_EQ(static_cast<std::size_t>(
+                reg.find("service.physics_em_substeps")->ivalue),
+            report.physics_em_substeps);
 
   // Histogram total == delivered (the report pins the same closure on its
   // own fixed-bin histogram; the registry's power-of-two bins must agree).

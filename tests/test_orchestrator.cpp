@@ -326,12 +326,21 @@ TEST_F(OrchestratorTest, PooledBitwiseIdenticalToSerialWithThreeChambers) {
   EXPECT_EQ(serial.denials, pooled.denials);
   EXPECT_EQ(serial.delivered_transfers, pooled.delivered_transfers);
   EXPECT_EQ(serial.failed_transfers, pooled.failed_transfers);
+  // Physics work counters: per chamber and summed, pool-size independent.
+  EXPECT_EQ(serial.physics_exact_steps, pooled.physics_exact_steps);
+  EXPECT_EQ(serial.physics_em_substeps, pooled.physics_em_substeps);
+  EXPECT_GT(serial.physics_exact_steps, 0u);
+  std::size_t exact_sum = 0;
+  for (const EpisodeReport& c : serial.chambers) exact_sum += c.physics_exact_steps;
+  EXPECT_EQ(exact_sum, serial.physics_exact_steps);
   ASSERT_EQ(serial.chambers.size(), pooled.chambers.size());
   for (std::size_t c = 0; c < serial.chambers.size(); ++c) {
     const EpisodeReport& a = serial.chambers[c];
     const EpisodeReport& b = pooled.chambers[c];
     EXPECT_EQ(a.delivered_ids, b.delivered_ids) << "chamber " << c;
     EXPECT_EQ(a.failed_ids, b.failed_ids) << "chamber " << c;
+    EXPECT_EQ(a.physics_exact_steps, b.physics_exact_steps) << "chamber " << c;
+    EXPECT_EQ(a.physics_em_substeps, b.physics_em_substeps) << "chamber " << c;
     ASSERT_EQ(a.events.size(), b.events.size()) << "chamber " << c;
     for (std::size_t e = 0; e < a.events.size(); ++e) {
       EXPECT_EQ(a.events[e].tick, b.events[e].tick);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -421,6 +424,241 @@ TEST_F(DynamicsTest, InvalidOptionsThrow) {
   DynamicsOptions empty = opts_;
   empty.bounds = {{0, 0, 0}, {0, 0, 0}};
   EXPECT_THROW(OverdampedIntegrator(medium_, empty), PreconditionError);
+}
+
+// FNV-1a over the bit patterns of a position (golden trajectory hashing).
+std::uint64_t fnv_mix(std::uint64_t h, Vec3 p) {
+  for (const double v : {p.x, p.y, p.z}) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xFFu;
+      h *= 0x100000001B3ull;
+    }
+  }
+  return h;
+}
+
+// The Euler-Maruyama step is the fallback of the exact in-basin stepper and
+// must stay bitwise what it always was. 300 full-option substeps (Brownian,
+// gravity, Faxén wall drag) are hashed for three regimes: a body held in a
+// trap, a dense body resting on the floor (z clamp every substep) and a body
+// pinned against a side wall (x clamp). The constants were recorded with the
+// original per-substep implementation.
+TEST_F(DynamicsTest, EulerMaruyamaStepMatchesGoldenTrajectories) {
+  DynamicsOptions opts = opts_;
+  opts.brownian = true;
+  opts.gravity = true;
+  opts.wall_correction = true;
+  const OverdampedIntegrator integ(medium_, opts);
+  const field::HarmonicCage cage{{5e-4, 5e-4, 2.1e-5}, 0.0, 1.2e19, 1.2e20};
+  const auto in_trap = [&](Vec3 q) { return cage.grad_erms2(q); };
+  const auto no_field = [](Vec3) { return Vec3{}; };
+  const auto push_x = [](Vec3) { return Vec3{-1e15, 0.0, 0.0}; };
+
+  const auto run = [&](ParticleBody p, auto&& grad, std::uint64_t seed) {
+    Rng rng(seed);
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (int s = 0; s < 300; ++s) {
+      integ.step(p, grad, rng);
+      h = fnv_mix(h, p.position);
+    }
+    return h;
+  };
+  const std::uint64_t trapped =
+      run({{5e-4 + 3e-6, 5e-4 - 2e-6, 2.0e-5}, 5e-6, 1070.0, -1.5e-25, 0}, in_trap, 11);
+  const std::uint64_t floor =
+      run({{5e-4, 5e-4, 5e-6}, 5e-6, 2500.0, 0.0, 1}, no_field, 12);
+  const std::uint64_t wall =
+      run({{6e-6, 5e-4, 5e-5}, 5e-6, 1070.0, 1.5e-25, 2}, push_x, 13);
+  EXPECT_EQ(trapped, 0x7b9a42d655ae56b9ull) << std::hex << trapped;
+  EXPECT_EQ(floor, 0x3c8a45acd9f63576ull) << std::hex << floor;
+  EXPECT_EQ(wall, 0x4abbe0d6bde5050bull) << std::hex << wall;
+}
+
+// ---------------------------------------------------- exact in-basin step ----
+
+// A paper-scale lymphocyte in a paper-scale cage (τ_r ≈ 53 ms, τ_z ≈ 5 ms,
+// σ_r ≈ 0.05 µm), 21 µm above the floor of a 1 mm × 1 mm × 100 µm box.
+class ExactStepTest : public ::testing::Test {
+ protected:
+  Medium medium_ = dep_buffer();
+  field::HarmonicCage cage_{{5e-4, 5e-4, 2.1e-5}, 0.0, 1.2e19, 1.2e20};
+  double prefactor_ = dep_prefactor(medium_, 5e-6, -0.27);
+
+  DynamicsOptions options(bool wall_correction, double dt = 1e-3) const {
+    return {.dt = dt,
+            .brownian = true,
+            .gravity = true,
+            .wall_correction = wall_correction,
+            .bounds = {{0, 0, 0}, {1e-3, 1e-3, 1e-4}}};
+  }
+  ParticleBody body(Vec3 at) const { return {at, 5e-6, 1070.0, prefactor_, 0}; }
+
+  /// Per-axis statistics of the displacement from `ref` after `advance`
+  /// runs on `n` fresh bodies, each on its own forked stream.
+  template <typename Advance>
+  std::array<RunningStats, 3> sample(std::size_t n, Vec3 start, Vec3 ref,
+                                     std::uint64_t seed, Advance&& advance) const {
+    std::array<RunningStats, 3> st;
+    const Rng base(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      ParticleBody p = body(start);
+      Rng rng = base.fork(i);
+      advance(p, rng);
+      const Vec3 d = p.position - ref;
+      st[0].add(d.x);
+      st[1].add(d.y);
+      st[2].add(d.z);
+    }
+    return st;
+  }
+};
+
+TEST_F(ExactStepTest, RelaxationParametersFollowTheCage) {
+  const OverdampedIntegrator integ(medium_, options(true));
+  const auto r = integ.relaxation(body({}), cage_);
+  ASSERT_TRUE(r.holds());
+  EXPECT_DOUBLE_EQ(r.k_r, -prefactor_ * cage_.c_r);
+  EXPECT_DOUBLE_EQ(r.k_z, -prefactor_ * cage_.c_z);
+  const double sag = buoyant_weight(medium_, 5e-6, 1070.0) / r.k_z;
+  EXPECT_DOUBLE_EQ(r.equilibrium.z, cage_.center.z + sag);
+  EXPECT_LT(r.equilibrium.z, cage_.center.z);  // a dense cell sags
+  EXPECT_DOUBLE_EQ(r.spread, std::sqrt(constants::kB * medium_.temperature / r.k_r));
+  // pDEP: the cage repels, nothing holds.
+  ParticleBody pdep = body({});
+  pdep.dep_prefactor = -prefactor_;
+  EXPECT_FALSE(integ.relaxation(pdep, cage_).holds());
+  Rng rng(1);
+  EXPECT_THROW(integ.exact_step(pdep, integ.relaxation(pdep, cage_), 0.1, rng),
+               PreconditionError);
+}
+
+// The exact step reproduces the analytic Ornstein-Uhlenbeck moments per
+// axis at 5, 20, 100 and 400 ms. N = 4000 forked streams. Tolerances fixed
+// from N before the first run: the sample mean of a Gaussian lies within
+// 4·σ/sqrt(N) of the true mean, and the sample variance within
+// 4·σ²·sqrt(2/(N-1)) of the true variance (6.3e-5 two-sided per check).
+TEST_F(ExactStepTest, ExactStepMatchesAnalyticMoments) {
+  const OverdampedIntegrator integ(medium_, options(true));
+  const auto r = integ.relaxation(body({}), cage_);
+  const Vec3 start = r.equilibrium + Vec3{3e-6, -2e-6, 1e-6};
+  const double gamma = stokes_drag_coefficient(medium_, 5e-6) *
+                       faxen_wall_correction(5e-6, start.z);  // frozen at the start
+  const double kt = constants::kB * medium_.temperature;
+  const std::size_t n = 4000;
+  const double var_tol = 4.0 * std::sqrt(2.0 / static_cast<double>(n - 1));
+  for (const double h : {5e-3, 20e-3, 100e-3, 400e-3}) {
+    const auto st = sample(n, start, r.equilibrium, 42, [&](ParticleBody& p, Rng& rng) {
+      integ.exact_step(p, r, h, rng);
+    });
+    const Vec3 offset = start - r.equilibrium;
+    const double offsets[3] = {offset.x, offset.y, offset.z};
+    const double ks[3] = {r.k_r, r.k_r, r.k_z};
+    for (int a = 0; a < 3; ++a) {
+      const double decay = std::exp(-ks[a] * h / gamma);
+      const double var = kt / ks[a] * (1.0 - decay * decay);
+      const double sd = std::sqrt(var);
+      EXPECT_NEAR(st[a].mean(), offsets[a] * decay,
+                  4.0 * sd / std::sqrt(static_cast<double>(n)))
+          << "axis " << a << " h " << h;
+      EXPECT_NEAR(st[a].variance() / var, 1.0, var_tol) << "axis " << a << " h " << h;
+    }
+  }
+}
+
+// Against a fine Euler-Maruyama reference (dt = τ_z/100, drag without the
+// wall term so both integrate the same linear SDE), 2000 forked streams
+// each. Tolerances fixed before the first run:
+//  - means: 4·sqrt((s_a² + s_b²)/N) for two independent sample means, plus
+//    the EM decay bias |x0|·|e^{−θh} − (1 − θ·dt)^n|, computed exactly;
+//  - variances: a ratio within 4·sqrt(2/(N−1) + 2/(N−1)) of
+//    1/(1 − θ·dt/2), the EM stationary-variance inflation at that dt, plus
+//    the same inflation again as a transient allowance.
+TEST_F(ExactStepTest, ExactStepMatchesFineEulerMaruyama) {
+  const OverdampedIntegrator exact(medium_, options(false));
+  const auto r = exact.relaxation(body({}), cage_);
+  const double gamma = stokes_drag_coefficient(medium_, 5e-6);
+  const double dt = gamma / r.k_z / 100.0;
+  const OverdampedIntegrator em(medium_, options(false, dt));
+  const Vec3 start = r.equilibrium + Vec3{3e-6, -2e-6, 1e-6};
+  const Vec3 offset = start - r.equilibrium;
+  const std::size_t n = 2000;
+  const double var_stat = 4.0 * std::sqrt(4.0 / static_cast<double>(n - 1));
+  const auto grad = [&](Vec3 q) { return cage_.grad_erms2(q); };
+  for (const double h : {20e-3, 100e-3}) {
+    const auto steps = static_cast<std::size_t>(std::llround(h / dt));
+    const double h_em = static_cast<double>(steps) * dt;
+    const auto a = sample(n, start, r.equilibrium, 7, [&](ParticleBody& p, Rng& rng) {
+      exact.exact_step(p, r, h_em, rng);
+    });
+    const auto b = sample(n, start, r.equilibrium, 8, [&](ParticleBody& p, Rng& rng) {
+      for (std::size_t s = 0; s < steps; ++s) em.step(p, grad, rng);
+    });
+    const double offsets[3] = {offset.x, offset.y, offset.z};
+    const double ks[3] = {r.k_r, r.k_r, r.k_z};
+    for (int ax = 0; ax < 3; ++ax) {
+      const double theta_dt = ks[ax] * dt / gamma;
+      const double decay_bias =
+          std::fabs(offsets[ax]) *
+          std::fabs(std::exp(-theta_dt * static_cast<double>(steps)) -
+                    std::pow(1.0 - theta_dt, static_cast<double>(steps)));
+      const double mean_tol =
+          4.0 * std::sqrt((a[ax].variance() + b[ax].variance()) / static_cast<double>(n)) +
+          decay_bias;
+      EXPECT_NEAR(a[ax].mean(), b[ax].mean(), mean_tol) << "axis " << ax << " h " << h;
+      const double inflation = 1.0 / (1.0 - 0.5 * theta_dt);
+      EXPECT_NEAR(b[ax].variance() / a[ax].variance(), inflation,
+                  var_stat + (inflation - 1.0))
+          << "axis " << ax << " h " << h;
+    }
+  }
+}
+
+// Freezing the Faxén-corrected drag at the starting height is the one
+// approximation of the exact step. Its bound: along the mean path the true
+// drag stays between its values at the start and at the equilibrium, so the
+// true mean decay factor lies between e^{−kh/γ} at those two drags. With
+// a cell released 3 µm above its rest height (the wall term is ~13–15% at
+// 21–24 µm), the exact step's mean z at 5 ms (~1 τ_z) must sit within that
+// band of a fine EM run that re-evaluates the drag every substep, plus
+// 4 standard errors and the EM decay bias. Measured: the gap is 0.07% of
+// the offset and the band 0.7%.
+TEST_F(ExactStepTest, FrozenWallDragErrorIsBounded) {
+  const OverdampedIntegrator exact(medium_, options(true));
+  const auto r = exact.relaxation(body({}), cage_);
+  const double g0 = stokes_drag_coefficient(medium_, 5e-6);
+  const double dt = g0 / r.k_z / 100.0;
+  const OverdampedIntegrator em(medium_, options(true, dt));
+  const Vec3 start = r.equilibrium + Vec3{0.0, 0.0, 3e-6};
+  const std::size_t n = 2000;
+  const double h = 5e-3;
+  const auto steps = static_cast<std::size_t>(std::llround(h / dt));
+  const double h_em = static_cast<double>(steps) * dt;
+  const auto grad = [&](Vec3 q) { return cage_.grad_erms2(q); };
+  const auto a = sample(n, start, r.equilibrium, 9, [&](ParticleBody& p, Rng& rng) {
+    exact.exact_step(p, r, h_em, rng);
+  });
+  const auto b = sample(n, start, r.equilibrium, 10, [&](ParticleBody& p, Rng& rng) {
+    for (std::size_t s = 0; s < steps; ++s) em.step(p, grad, rng);
+  });
+  const double g_start = g0 * faxen_wall_correction(5e-6, start.z);
+  const double g_rest = g0 * faxen_wall_correction(5e-6, r.equilibrium.z);
+  ASSERT_GT(g_rest, g_start);  // nearer the floor, more drag
+  const double band = 3e-6 * (std::exp(-r.k_z * h_em / g_rest) -
+                              std::exp(-r.k_z * h_em / g_start));
+  const double theta_dt = r.k_z * dt / g_rest;
+  const double decay_bias =
+      3e-6 * std::fabs(std::exp(-theta_dt * static_cast<double>(steps)) -
+                       std::pow(1.0 - theta_dt, static_cast<double>(steps)));
+  const double stat =
+      4.0 * std::sqrt((a[2].variance() + b[2].variance()) / static_cast<double>(n));
+  const double gap = std::fabs(a[2].mean() - b[2].mean());
+  EXPECT_LE(gap, band + decay_bias + stat)
+      << "gap " << gap << " band " << band << " stat " << stat;
+  // The band itself is small: freezing the drag moves the 5 ms mean by at
+  // most 1% of the offset.
+  EXPECT_LT(band / 3e-6, 0.01);
 }
 
 // ------------------------------------------------------------ levitation ----

@@ -255,29 +255,6 @@ BENCHMARK(bm_orchestrator_chambers_obs)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Tracked-field twin of bm_orchestrator_chambers: every chamber keeps a
-// whole-chamber potential grid current inside the actuation loop (2
-// nodes/pitch). range(1) is the incremental re-anchor period: 1 = full
-// multigrid solve every tick (what made in-loop field tracking
-// unaffordable), 8 = windowed dirty-region corrections with the periodic
-// full re-anchor. The /1 vs /8 chamber_ticks_per_s ratio is the incremental
-// win inside the closed loop; the delta against the untracked same-arg
-// baseline is the residual cost of tracking at all.
-void bm_orchestrator_chambers_tracked(benchmark::State& state) {
-  control::OrchestratorConfig config;
-  config.control.escape_rate = 0.003;
-  config.control.field_tracking_nodes_per_pitch = 2;
-  config.control.field_tracking.incremental.reanchor_period =
-      static_cast<std::size_t>(state.range(1));
-  run_orchestrator_bench(state, static_cast<int>(state.range(0)), config);
-}
-
-BENCHMARK(bm_orchestrator_chambers_tracked)
-    ->Args({3, 1})
-    ->Args({3, 8})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Fault-lifecycle overhead: the same chamber chain under a hostile sampled
 // fault schedule with rescue and the per-chamber HealthMonitor enabled —
 // the price of the robustness machinery in ticks/s and episode length
@@ -312,8 +289,7 @@ BENCHMARK(bm_orchestrator_faulted)
 // p50/p99 time-in-chip [ticks] vs offered load, the typed `shed_frac`, and
 // the supervisory `ticks_per_s` loop cost. Runs are deterministic (fixed
 // seed), so the quantiles are identical across iterations.
-void run_streaming_bench(benchmark::State& state, bool with_obs,
-                         int tracked_period = -1) {
+void run_streaming_bench(benchmark::State& state, bool with_obs) {
   const double rate = static_cast<double>(state.range(0)) / 1000.0;
   const int side = 16;
   constexpr std::size_t n_chambers = 2;
@@ -357,11 +333,6 @@ void run_streaming_bench(benchmark::State& state, bool with_obs,
     scfg.goal_sites.assign(n_chambers, {{12, 4}, {12, 8}, {12, 12}});
     scfg.control.escape_rate = 1e-3;
     scfg.control.health.enabled = true;
-    if (tracked_period >= 0) {
-      scfg.control.field_tracking_nodes_per_pitch = 2;
-      scfg.control.field_tracking.incremental.reanchor_period =
-          static_cast<std::size_t>(tracked_period);
-    }
     scfg.elide_idle_chambers = true;
     control::StreamingService service(net, scfg);
     for (auto& w : worlds)
@@ -415,21 +386,6 @@ void bm_streaming_obs(benchmark::State& state) {
 
 BENCHMARK(bm_streaming_obs)
     ->Arg(71)  // ~1.0x — the knee of the latency curve
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Tracked-field twin of bm_streaming at the knee: the service loop carries a
-// live whole-chamber potential per chamber. range(1) is the re-anchor
-// period, as in bm_orchestrator_chambers_tracked — the /1 row prices
-// full-solve-per-tick, the /8 row the incremental dirty-region policy.
-void bm_streaming_tracked(benchmark::State& state) {
-  run_streaming_bench(state, /*with_obs=*/false,
-                      static_cast<int>(state.range(1)));
-}
-
-BENCHMARK(bm_streaming_tracked)
-    ->Args({71, 1})
-    ->Args({71, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

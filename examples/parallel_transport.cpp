@@ -1,7 +1,8 @@
 // Parallel transport: the array's signature trick — many cells moving at
 // once. Traps a 3x3 block of cells, then executes two collective maneuvers
 // (a convoy shift and a block rotation) with collision-free multi-cage
-// routing and full particle dynamics at every actuation step.
+// routing and full particle dynamics at every actuation step (an open-loop
+// `ClosedLoopTransporter` episode behind `LabOnChipPlatform::move_cells`).
 //
 // Run:  ./parallel_transport
 
@@ -35,21 +36,21 @@ int main() {
   }
   std::cout << "Trapped " << cages.size() << " cells on a 3x3 block.\n";
 
-  Table t({"maneuver", "cages", "steps", "moves", "time [s]", "all retained"});
+  Table t({"maneuver", "cages", "ticks", "delivered", "time [s]", "all retained"});
 
   // Maneuver 1: convoy — the whole block shifts 15 pitches east together.
   {
-    std::vector<core::ParallelMoveRequest> reqs;
+    std::vector<control::CageGoal> goals;
     for (int id : cages) {
       const GridCoord s = lab.cages().site(id);
-      reqs.push_back({id, {s.col + 15, s.row}});
+      goals.push_back({id, {s.col + 15, s.row}});
     }
-    const core::ParallelMoveResult r = lab.move_cells(reqs);
+    const control::EpisodeReport r = lab.move_cells(goals);
     t.row()
         .cell("convoy +15 east")
-        .cell(static_cast<int>(reqs.size()))
-        .cell(static_cast<int>(r.steps_executed))
-        .cell(r.routes.total_moves)
+        .cell(static_cast<int>(goals.size()))
+        .cell(r.ticks)
+        .cell(static_cast<int>(r.delivered_ids.size()))
         .cell(r.elapsed, 1)
         .cell(r.success ? "yes" : (r.planned ? "LOST" : "PLAN FAILED"));
   }
@@ -59,15 +60,15 @@ int main() {
   {
     std::vector<GridCoord> sites;
     for (int id : cages) sites.push_back(lab.cages().site(id));
-    std::vector<core::ParallelMoveRequest> reqs;
+    std::vector<control::CageGoal> goals;
     for (std::size_t i = 0; i < cages.size(); ++i)
-      reqs.push_back({cages[i], sites[cages.size() - 1 - i]});
-    const core::ParallelMoveResult r = lab.move_cells(reqs);
+      goals.push_back({cages[i], sites[cages.size() - 1 - i]});
+    const control::EpisodeReport r = lab.move_cells(goals);
     t.row()
         .cell("block rotation 180deg")
-        .cell(static_cast<int>(reqs.size()))
-        .cell(static_cast<int>(r.steps_executed))
-        .cell(r.routes.total_moves)
+        .cell(static_cast<int>(goals.size()))
+        .cell(r.ticks)
+        .cell(static_cast<int>(r.delivered_ids.size()))
         .cell(r.elapsed, 1)
         .cell(r.success ? "yes" : (r.planned ? "LOST" : "PLAN FAILED"));
   }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "control/health.hpp"
-#include "field/solver.hpp"
 
 namespace biochip::control {
 
@@ -132,22 +131,6 @@ struct ControlConfig {
 
   /// Per-chamber watchdog + degradation ladder (`control/health.hpp`).
   HealthConfig health;
-
-  /// Tracked whole-chamber potential (field/incremental.hpp): grid nodes per
-  /// electrode pitch for the live Laplace solution the runtime maintains
-  /// alongside the cage surrogate. 0 (default) = off — no grid is allocated
-  /// and the tick path is unchanged. When on, each tick's actuation writes a
-  /// per-electrode drive (+`field_tracking_drive` on every site whose trap
-  /// ground-truth-functions, 0 elsewhere) and the tracker re-solves only the
-  /// windows around electrodes whose drive changed, re-anchoring with a full
-  /// FMG solve on the `field_tracking.incremental.reanchor_period` cadence.
-  /// Deterministic: the drive depends only on simulation state, and the
-  /// windowed solver is bitwise identical serial vs pooled.
-  std::size_t field_tracking_nodes_per_pitch = 0;
-  /// Drive written to a live (ground-truth-functional) cage-site electrode.
-  double field_tracking_drive = 1.0;
-  /// Solver policy of the tracked field (cycle/tolerance/incremental block).
-  field::SolverOptions field_tracking;
 };
 
 }  // namespace biochip::control

@@ -66,8 +66,8 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   initial_blocked_ = static_cast<std::size_t>(
       std::count(blocked_.begin(), blocked_.end(), std::uint8_t{1}));
 
-  // Initial plan, ParallelTransporter-style: parked cages become zero-length
-  // requests so the planner keeps traffic separated from them.
+  // Initial plan: parked cages become zero-length requests so the planner
+  // keeps traffic separated from them.
   cad::RouteConfig plan_cfg;
   plan_cfg.cols = array.cols();
   plan_cfg.rows = array.rows();
@@ -134,29 +134,6 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   threshold_ = config.threshold_sigma * cds_base_sigma_ /
                std::sqrt(static_cast<double>(config.frames_per_tick));
   bounds_ = owner_.engine_.integrator().options().bounds;
-
-  // Tracked whole-chamber field (optional): one Laplace grid over the full
-  // array at the configured resolution, maintained incrementally by the tick
-  // path (field/incremental.hpp). The z extent is the physics domain height.
-  if (config.field_tracking_nodes_per_pitch > 0) {
-    field::ChamberDomain domain;
-    domain.spacing =
-        array.pitch() / static_cast<double>(config.field_tracking_nodes_per_pitch);
-    const Rect extent = array.extent();
-    domain.width_x = extent.max.x - extent.min.x;
-    domain.width_y = extent.max.y - extent.min.y;
-    domain.height = bounds_.max.z - bounds_.min.z;
-    BIOCHIP_REQUIRE(domain.height > 0.0,
-                    "field tracking needs a 3-D physics domain");
-    std::vector<Rect> footprints;
-    footprints.reserve(array.electrode_count());
-    for (int r = 0; r < array.rows(); ++r)
-      for (int c = 0; c < array.cols(); ++c)
-        footprints.push_back(array.footprint({c, r}));
-    field_tracker_.emplace(domain, std::move(footprints), /*lid_present=*/false,
-                           array.pitch(), config.field_tracking);
-    field_drive_.assign(array.electrode_count(), 0.0);
-  }
 }
 
 bool EpisodeRuntime::body_index_of(int cage_id, std::size_t& out) const {
@@ -180,16 +157,6 @@ bool EpisodeRuntime::truth_site_ok(GridCoord s) const {
   return truth_blocked_[static_cast<std::size_t>(s.row) *
                             static_cast<std::size_t>(array.cols()) +
                         static_cast<std::size_t>(s.col)] == 0;
-}
-
-void EpisodeRuntime::update_tracked_field(const std::vector<GridCoord>& sites) {
-  const chip::ElectrodeArray& array = owner_.cages_.array();
-  std::fill(field_drive_.begin(), field_drive_.end(), 0.0);
-  for (const GridCoord s : sites)
-    field_drive_[array.index(s)] = owner_.config_.field_tracking_drive;
-  // Changed-electrode detection, window clustering and the re-anchor cadence
-  // all live in the tracker; an unchanged pattern is a bitwise no-op.
-  field_tracker_->update(field_drive_);
 }
 
 void EpisodeRuntime::refresh_blocked() {
@@ -431,12 +398,6 @@ void EpisodeRuntime::tick(int t) {
     }
   }
 
-  // Tracked whole-chamber field (config-gated): the actuation pattern is
-  // +drive on every trap site selected above, 0 elsewhere, so a fault that
-  // kills a trap — announced or silent — changes that electrode's drive and
-  // dirties its window. Still the actuate phase: this is the cost of
-  // re-programming the array, not of integrating bodies.
-  if (field_tracker_.has_value()) update_tracked_field(sites);
   phase.begin("physics");
 
   // ---- physics: every body relaxes for one site period against the traps

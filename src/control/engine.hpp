@@ -37,7 +37,6 @@
 #include "control/supervisor.hpp"
 #include "control/tracker.hpp"
 #include "core/simulation.hpp"
-#include "field/incremental.hpp"
 #include "physics/dynamics.hpp"
 #include "sensor/frame.hpp"
 
@@ -273,17 +272,6 @@ class EpisodeRuntime {
   void begin_sensor_dropout(int t, int row, int duration);
   void begin_sensor_burst(int t, GridCoord origin, int tile, int duration);
 
-  // ---- tracked whole-chamber field (optional; config-gated) ---------------
-
-  /// Non-null when `ControlConfig::field_tracking_nodes_per_pitch > 0` and
-  /// the initial plan succeeded: the live Laplace potential the tick path
-  /// maintains incrementally (dirty windows around electrodes whose drive
-  /// changed, periodic full re-anchor). Exposes the grid for identity tests
-  /// and the cumulative `field::SolveAccounting` for the obs fold.
-  const field::IncrementalPotential* field_tracker() const {
-    return field_tracker_.has_value() ? &*field_tracker_ : nullptr;
-  }
-
   // ---- health (watchdog) queries ------------------------------------------
 
   /// Current rung of the degradation ladder (kNormal when disabled).
@@ -310,10 +298,6 @@ class EpisodeRuntime {
   bool truth_site_ok(GridCoord site) const;
   /// Health observation over the audit events recorded since the last scan.
   void observe_health(int t);
-  /// Push this tick's actuation pattern into the tracked field: +drive on
-  /// every ground-truth-functional trap site, 0 elsewhere. O(changed
-  /// electrodes) windowed solves; a tick whose pattern repeats is a no-op.
-  void update_tracked_field(const std::vector<GridCoord>& sites);
 
   ClosedLoopEngine& owner_;
   core::ThreadPool* pool_;
@@ -380,12 +364,6 @@ class EpisodeRuntime {
   std::optional<Replanner> replanner_;
   std::optional<OccupancyTracker> tracker_;
   std::optional<Supervisor> supervisor_;
-
-  /// Tracked whole-chamber field (engaged when
-  /// `ControlConfig::field_tracking_nodes_per_pitch > 0`) + the per-electrode
-  /// drive scratch the tick path rewrites in place.
-  std::optional<field::IncrementalPotential> field_tracker_;
-  std::vector<double> field_drive_;
 
   std::vector<int> stalled_;
   EpisodeReport report_;

@@ -1,16 +1,18 @@
 #pragma once
 /// \file closed_loop.hpp
-/// \brief `ClosedLoopTransporter` — the closed-loop sibling of
-/// `ParallelTransporter`.
+/// \brief `ClosedLoopTransporter` — the one multi-cage transport path:
+/// plan with the CAD router, execute with the cage controller, integrate
+/// every body with physics.
 ///
-/// Same episode surface as the open-loop transporter (plan, execute,
-/// pooled `execute_episodes`), but each actuation step is a full supervisory
-/// tick of the control engine: sense the scene, track per-cage occupancy,
-/// re-plan around losses/defects/congestion, then actuate. Episodes fan out
-/// over the shared worker pool on counter-based `Rng::fork` streams, so
+/// Each actuation step is a full supervisory tick of the control engine:
+/// sense the scene, track per-cage occupancy, re-plan around
+/// losses/defects/congestion, then actuate. With
+/// `ControlConfig::closed_loop = false` the same episode runs open loop —
+/// the committed plan executes blind, with the same physics and fault
+/// injection (`LabOnChipPlatform::move_cells` runs this mode). Episodes fan
+/// out over the shared worker pool on counter-based `Rng::fork` streams, so
 /// every trajectory and every event log is bitwise identical for any worker
-/// count — the same determinism contract `execute_episodes` established for
-/// the open-loop path.
+/// count.
 
 #include <utility>
 #include <vector>

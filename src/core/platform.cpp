@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "core/closed_loop.hpp"
 
 namespace biochip::core {
 
@@ -37,6 +39,7 @@ LabOnChipPlatform::LabOnChipPlatform(const PlatformConfig& config)
               config.capture_radius_pitches * config.device.pitch),
       imager_(device_.array(), pixel_for_device(device_), config.medium.temperature,
               config.seed ^ 0xFEEDFACEull),
+      defects_(device_.array()),
       rng_(config.seed) {
   physics::validate(config.medium);
   BIOCHIP_REQUIRE(config.tow_speed > 0.0, "tow speed must be positive");
@@ -169,13 +172,19 @@ MoveResult LabOnChipPlatform::move_cell(int cage_id, GridCoord destination) {
   return result;
 }
 
-ParallelMoveResult LabOnChipPlatform::move_cells(
-    const std::vector<ParallelMoveRequest>& requests) {
-  ParallelTransporter transporter(cages_, engine_, site_period());
-  ParallelMoveResult result =
-      transporter.execute(requests, bodies_, cage_to_body_, rng_);
+control::EpisodeReport LabOnChipPlatform::move_cells(
+    const std::vector<control::CageGoal>& goals) {
+  control::ControlConfig open_loop;
+  open_loop.closed_loop = false;
+  // The platform treats every cage site as trapping (trap_cell, move_cell
+  // do), so the counter-phase ring rule that drops traps on edge sites is
+  // off: with ring 0 every site of the clean map holds its cell.
+  open_loop.defect_ring = 0;
+  ClosedLoopTransporter transporter(cages_, engine_, imager_, defects_, site_period(),
+                                    std::move(open_loop));
+  control::EpisodeReport report = transporter.execute(goals, bodies_, cage_to_body_, rng_);
   refresh_engine_sites();
-  return result;
+  return report;
 }
 
 cad::SynthesisResult LabOnChipPlatform::run_assay(const cad::AssayGraph& graph,

@@ -11,8 +11,9 @@
 #include "cad/synthesis.hpp"
 #include "cell/population.hpp"
 #include "chip/cage.hpp"
+#include "chip/defects.hpp"
 #include "chip/device.hpp"
-#include "core/parallel.hpp"
+#include "control/engine.hpp"
 #include "core/simulation.hpp"
 #include "physics/medium.hpp"
 #include "sensor/detect.hpp"
@@ -80,8 +81,11 @@ class LabOnChipPlatform {
 
   /// Move many trapped cells *simultaneously*: collision-free multi-cage
   /// routing (time-expanded A*) executed one actuation step at a time with
-  /// full particle dynamics. The chip's signature parallel operation.
-  ParallelMoveResult move_cells(const std::vector<ParallelMoveRequest>& requests);
+  /// full particle dynamics. The chip's signature parallel operation, run as
+  /// an open-loop `ClosedLoopTransporter` episode (`closed_loop = false`):
+  /// every body in the chamber integrates each tick, and a goal cage counts
+  /// as delivered iff its cell ends inside the capture basin at the goal.
+  control::EpisodeReport move_cells(const std::vector<control::CageGoal>& goals);
 
   /// Synthesize an assay onto this chip (dims/step period derived from the
   /// device and tow speed).
@@ -104,6 +108,7 @@ class LabOnChipPlatform {
   chip::CageController cages_;
   ManipulationEngine engine_;
   sensor::FrameSynthesizer imager_;
+  chip::DefectMap defects_;  ///< self-test map of the (defect-free) chip
   std::vector<cell::Instance> sample_;
   std::vector<physics::ParticleBody> bodies_;
   std::vector<std::pair<int, int>> cage_to_body_;  ///< (cage id, body index)

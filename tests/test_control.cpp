@@ -187,7 +187,8 @@ TEST_F(ClosedLoopTest, LostCellIsRecapturedAndDelivered) {
 }
 
 // Bitwise identity of the pooled episode fan-out vs the serial reference:
-// same trajectories, same event logs, for any chunking.
+// same trajectories, same event logs, for any chunking — closed loop and the
+// open-loop mode `LabOnChipPlatform::move_cells` runs alike.
 TEST_F(ClosedLoopTest, EpisodeFanOutBitwiseIdenticalToSerial) {
   ControlConfig config;
   config.forced_escapes = {{4, 0}};
@@ -213,25 +214,30 @@ TEST_F(ClosedLoopTest, EpisodeFanOutBitwiseIdenticalToSerial) {
     return std::make_pair(reports, positions);
   };
 
-  const auto [serial_reports, serial_pos] = run_episodes(1);
-  const auto [fanned_reports, fanned_pos] = run_episodes(0);
-  ASSERT_EQ(serial_pos.size(), fanned_pos.size());
-  for (std::size_t n = 0; n < serial_pos.size(); ++n)
-    ASSERT_EQ(serial_pos[n], fanned_pos[n]) << "body " << n;
-  ASSERT_EQ(serial_reports.size(), fanned_reports.size());
-  for (std::size_t n = 0; n < serial_reports.size(); ++n) {
-    const EpisodeReport& a = serial_reports[n];
-    const EpisodeReport& b = fanned_reports[n];
-    EXPECT_TRUE(a.planned);
-    ASSERT_EQ(a.events.size(), b.events.size()) << "episode " << n;
-    for (std::size_t e = 0; e < a.events.size(); ++e) {
-      EXPECT_EQ(a.events[e].tick, b.events[e].tick);
-      EXPECT_EQ(a.events[e].kind, b.events[e].kind);
-      EXPECT_EQ(a.events[e].cage_id, b.events[e].cage_id);
+  for (const bool closed_loop : {true, false}) {
+    SCOPED_TRACE(closed_loop ? "closed loop" : "open loop");
+    config.closed_loop = closed_loop;
+    const auto [serial_reports, serial_pos] = run_episodes(1);
+    const auto [fanned_reports, fanned_pos] = run_episodes(0);
+    ASSERT_EQ(serial_pos.size(), fanned_pos.size());
+    ASSERT_FALSE(serial_pos.empty());
+    for (std::size_t n = 0; n < serial_pos.size(); ++n)
+      ASSERT_EQ(serial_pos[n], fanned_pos[n]) << "body " << n;
+    ASSERT_EQ(serial_reports.size(), fanned_reports.size());
+    for (std::size_t n = 0; n < serial_reports.size(); ++n) {
+      const EpisodeReport& a = serial_reports[n];
+      const EpisodeReport& b = fanned_reports[n];
+      EXPECT_TRUE(a.planned);
+      ASSERT_EQ(a.events.size(), b.events.size()) << "episode " << n;
+      for (std::size_t e = 0; e < a.events.size(); ++e) {
+        EXPECT_EQ(a.events[e].tick, b.events[e].tick);
+        EXPECT_EQ(a.events[e].kind, b.events[e].kind);
+        EXPECT_EQ(a.events[e].cage_id, b.events[e].cage_id);
+      }
+      EXPECT_EQ(a.ticks, b.ticks);
+      EXPECT_EQ(a.delivered_ids, b.delivered_ids);
+      EXPECT_EQ(a.failed_ids, b.failed_ids);
     }
-    EXPECT_EQ(a.ticks, b.ticks);
-    EXPECT_EQ(a.delivered_ids, b.delivered_ids);
-    EXPECT_EQ(a.failed_ids, b.failed_ids);
   }
 }
 

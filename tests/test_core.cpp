@@ -10,7 +10,6 @@
 #include "cad/benchmarks.hpp"
 #include "cell/library.hpp"
 #include "common/error.hpp"
-#include "core/parallel.hpp"
 #include "core/platform.hpp"
 #include "core/simulation.hpp"
 
@@ -478,71 +477,6 @@ TEST_F(ExactSelectionTest, FallbackIsBitwiseThePlainEulerLoop) {
     EXPECT_EQ(a.position, b.position);
     EXPECT_EQ(ra(), rb());
   }
-}
-
-// ---------------------------------------------------- parallel transporter ----
-
-TEST(ParallelTransporter, EpisodeFanOutBitwiseIdenticalToSerial) {
-  // Independent transport batches fan out over the pool at the episode
-  // level; per-episode counter-based RNG streams (Rng::fork) make every
-  // trajectory bitwise identical no matter how the episodes are chunked.
-  chip::DeviceConfig cfg = chip::paper_config_on_node(chip::paper_node());
-  cfg.cols = 16;
-  cfg.rows = 16;
-  const chip::BiochipDevice device(cfg);
-  const physics::Medium medium = physics::dep_buffer();
-  const field::HarmonicCage cage = device.calibrate_cage(5, 6);
-  const cell::ParticleSpec spec = cell::viable_lymphocyte();
-
-  struct World {
-    std::unique_ptr<chip::CageController> cages;
-    std::unique_ptr<ManipulationEngine> engine;
-    std::unique_ptr<ParallelTransporter> transporter;
-    std::vector<physics::ParticleBody> bodies;
-    std::vector<std::pair<int, int>> cage_bodies;
-    std::vector<ParallelMoveRequest> requests;
-  };
-  const auto make_worlds = [&] {
-    std::vector<World> worlds(3);
-    for (int w = 0; w < 3; ++w) {
-      World& world = worlds[static_cast<std::size_t>(w)];
-      world.cages = std::make_unique<chip::CageController>(device.array());
-      world.engine = std::make_unique<ManipulationEngine>(device, medium, cage, 30e-6);
-      world.transporter =
-          std::make_unique<ParallelTransporter>(*world.cages, *world.engine, 0.4);
-      const int id0 = world.cages->create({2, 2 + w});
-      const int id1 = world.cages->create({10, 3 + w});
-      for (const int id : {id0, id1})
-        world.bodies.push_back({world.engine->field_model().trap_center(
-                                    world.cages->site(id)),
-                                spec.radius, spec.density,
-                                spec.dep_prefactor(medium, cfg.drive_frequency), 0});
-      world.cage_bodies = {{id0, 0}, {id1, 1}};
-      world.requests = {{id0, {6, 2 + w}}, {id1, {10, 8}}};
-    }
-    return worlds;
-  };
-
-  const auto run = [&](std::size_t max_parts) {
-    auto worlds = make_worlds();
-    std::vector<ParallelTransporter::Episode> episodes;
-    for (World& w : worlds)
-      episodes.push_back({w.transporter.get(), w.requests, &w.bodies, w.cage_bodies});
-    Rng rng(4242);
-    const auto results = ParallelTransporter::execute_episodes(episodes, rng, max_parts);
-    std::vector<Vec3> positions;
-    for (const World& w : worlds)
-      for (const physics::ParticleBody& b : w.bodies) positions.push_back(b.position);
-    for (const ParallelMoveResult& r : results) EXPECT_TRUE(r.planned);
-    return positions;
-  };
-
-  const std::vector<Vec3> serial = run(1);   // one chunk: the serial reference
-  const std::vector<Vec3> fanned = run(0);   // pool-sized chunking
-  ASSERT_EQ(serial.size(), fanned.size());
-  ASSERT_FALSE(serial.empty());
-  for (std::size_t n = 0; n < serial.size(); ++n)
-    ASSERT_EQ(serial[n], fanned[n]) << "body " << n;
 }
 
 // ---------------------------------------------------------------- platform ----

@@ -48,13 +48,13 @@ class ParallelTest : public ::testing::Test {
 
 TEST_F(ParallelTest, ConvoyMovesTogether) {
   // All six cages shift 10 rows north simultaneously.
-  std::vector<core::ParallelMoveRequest> reqs;
+  std::vector<control::CageGoal> goals;
   for (int id : cages_)
-    reqs.push_back({id, {lab_->cages().site(id).col, lab_->cages().site(id).row + 10}});
-  const core::ParallelMoveResult result = lab_->move_cells(reqs);
+    goals.push_back({id, {lab_->cages().site(id).col, lab_->cages().site(id).row + 10}});
+  const control::EpisodeReport result = lab_->move_cells(goals);
   EXPECT_TRUE(result.planned);
-  EXPECT_TRUE(result.success) << result.lost_cage_ids.size() << " lost";
-  for (const auto& req : reqs) EXPECT_EQ(lab_->cages().site(req.cage_id), req.destination);
+  EXPECT_TRUE(result.success) << result.failed_ids.size() << " lost";
+  for (const auto& goal : goals) EXPECT_EQ(lab_->cages().site(goal.cage_id), goal.destination);
   // Every particle arrived at its trap.
   for (int id : cages_) {
     const int bidx = *lab_->body_in_cage(id);
@@ -71,7 +71,7 @@ TEST_F(ParallelTest, CrossingPairResolvedAndExecuted) {
   // First and last cage swap columns — paths must weave around the others.
   const GridCoord a = lab_->cages().site(cages_.front());
   const GridCoord b = lab_->cages().site(cages_.back());
-  const core::ParallelMoveResult result =
+  const control::EpisodeReport result =
       lab_->move_cells({{cages_.front(), b}, {cages_.back(), a}});
   EXPECT_TRUE(result.planned);
   EXPECT_TRUE(result.success);
@@ -80,12 +80,23 @@ TEST_F(ParallelTest, CrossingPairResolvedAndExecuted) {
 }
 
 TEST_F(ParallelTest, ElapsedMatchesStepsTimesPeriod) {
-  std::vector<core::ParallelMoveRequest> reqs{
+  std::vector<control::CageGoal> goals{
       {cages_[0], {lab_->cages().site(cages_[0]).col, 40}}};
-  const core::ParallelMoveResult result = lab_->move_cells(reqs);
+  const control::EpisodeReport result = lab_->move_cells(goals);
   ASSERT_TRUE(result.success);
   EXPECT_NEAR(result.elapsed,
-              static_cast<double>(result.steps_executed) * lab_->site_period(), 1e-9);
+              static_cast<double>(result.ticks) * lab_->site_period(), 1e-9);
+}
+
+TEST_F(ParallelTest, EdgeRowTowKeepsItsTrap) {
+  // Edge sites hold a cage like any other site on the platform: reach the
+  // edge row, then tow along it (the only shortest path).
+  const int col = lab_->cages().site(cages_[0]).col;
+  for (const GridCoord dest : {GridCoord{col, 0}, GridCoord{col + 10, 0}}) {
+    const control::EpisodeReport result = lab_->move_cells({{cages_[0], dest}});
+    EXPECT_TRUE(result.success) << dest.col << "," << dest.row;
+    EXPECT_EQ(lab_->cages().site(cages_[0]), dest);
+  }
 }
 
 TEST_F(ParallelTest, DestinationOutsideArrayThrows) {

@@ -622,78 +622,5 @@ TEST_F(FaultFuzzTest, PooledBitwiseIdenticalUnderFaultFuzz) {
   }
 }
 
-// The tracked whole-chamber field stays bitwise identical between the
-// serial and the pooled windowed solver under a hostile fault schedule:
-// electrode faults (announced AND silent — both kill the trap, so both drop
-// the site's drive and dirty its window; the silent one touches ground truth
-// only), sensor overlays, random escapes, rescue and the health watchdog all
-// armed. The per-tick grids, not just the final state, must match for every
-// solver thread count.
-TEST_F(FaultFuzzTest, TrackedFieldBitwiseIdenticalSerialVsPooledUnderFaultFuzz) {
-  struct Run {
-    std::vector<std::vector<double>> grids;  ///< tracked potential per tick
-    field::SolveAccounting accounting;
-  };
-  const auto run_once = [&](std::size_t solver_threads) {
-    auto w = make_world();
-    w->add_cell({3, 8});
-    w->add_cell({12, 4});
-    w->goals.push_back({0, {12, 8}});
-    w->goals.push_back({1, {4, 4}});
-
-    ControlConfig config;
-    config.escape_rate = 0.002;
-    config.rescue = true;
-    config.health.enabled = true;
-    config.field_tracking_nodes_per_pitch = 2;
-    config.field_tracking.tolerance = 1e-7;
-    config.field_tracking.incremental.tolerance = 1e-7;
-    config.field_tracking.incremental.reanchor_period = 8;
-    config.field_tracking.threads = solver_threads;
-    ClosedLoopEngine engine(w->cages, w->engine, w->imager, w->defects, 0.4, config);
-    EpisodeRuntime rt(engine, w->goals, w->bodies, w->cage_bodies, Rng(424242),
-                      nullptr);
-    EXPECT_TRUE(rt.planned());
-
-    Run run;
-    for (int t = 1; t <= 30; ++t) {
-      // Silent kill on cage 0's route: the trap dies, the controller does
-      // not know, and the tracked drive drops at the occupied site anyway.
-      if (t == 4)
-        rt.apply_electrode_fault(t, {6, 8}, chip::FaultKind::kElectrodeSilentDead);
-      if (t == 6)
-        rt.apply_electrode_fault(t, {12, 6}, chip::FaultKind::kElectrodeDead);
-      if (t == 8) rt.begin_sensor_dropout(t, 8, 3);
-      if (t == 10) rt.begin_sensor_burst(t, {10, 8}, 3, 2);
-      rt.tick(t);
-      EXPECT_NE(rt.field_tracker(), nullptr);
-      run.grids.push_back(rt.field_tracker()->potential().data());
-    }
-    run.accounting = rt.field_tracker()->accounting();
-    return run;
-  };
-
-  const Run serial = run_once(1);
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
-    const Run pooled = run_once(threads);
-    ASSERT_EQ(serial.grids.size(), pooled.grids.size()) << "threads " << threads;
-    for (std::size_t t = 0; t < serial.grids.size(); ++t) {
-      ASSERT_EQ(serial.grids[t].size(), pooled.grids[t].size());
-      for (std::size_t n = 0; n < serial.grids[t].size(); ++n)
-        ASSERT_EQ(serial.grids[t][n], pooled.grids[t][n])
-            << "threads " << threads << " tick " << t + 1 << " node " << n;
-    }
-    // Same work, not just the same answer: the schedule of full vs windowed
-    // solves is part of the determinism contract.
-    EXPECT_EQ(serial.accounting.solves, pooled.accounting.solves);
-    EXPECT_EQ(serial.accounting.window_solves, pooled.accounting.window_solves);
-    EXPECT_EQ(serial.accounting.total_sweeps, pooled.accounting.total_sweeps);
-  }
-  // The incremental path actually engaged: windowed solves dominate, full
-  // re-anchors stay on the configured cadence.
-  EXPECT_GT(serial.accounting.window_solves, serial.accounting.solves);
-  EXPECT_GE(serial.accounting.solves, 1u);
-}
-
 }  // namespace
 }  // namespace biochip::control

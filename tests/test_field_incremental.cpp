@@ -125,6 +125,16 @@ struct HopFuzz {
     write_drive();
   }
 
+  /// Silent-dead pattern: one live cage's electrode drops to 0 and no cage
+  /// takes its place (the trap died under a cell; nothing moved).
+  void kill() {
+    const std::size_t who =
+        static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(pos_.size()) - 1));
+    pos_.erase(pos_.begin() + static_cast<std::ptrdiff_t>(who));
+    amp_.erase(amp_.begin() + static_cast<std::ptrdiff_t>(who));
+    write_drive();
+  }
+
   std::vector<double> drive;
 
  private:
@@ -291,8 +301,17 @@ TEST(IncrementalFuzz, RepeatedDriveIsBitwiseInert) {
 
 // -------------------------------------------------------------- threading ----
 
+// Hops and amplitude flips interleaved with silent-dead drops (a live site's
+// drive falls to 0 with no replacement). Every per-step grid and the solve
+// schedule itself (full vs windowed solves, sweeps) must match for every
+// solver thread count.
 TEST(IncrementalField, WindowedUpdatesBitwiseIdenticalSerialVsPooled) {
   const TileShape shape{6, 5, 4, 2.0};
+  struct Run {
+    std::vector<Grid3> trajectory;
+    SolveAccounting accounting;
+    std::size_t windowed_kills = 0;  ///< silent-dead drops taken by a window
+  };
   const auto run_once = [&](std::size_t threads) {
     SolverOptions opts = tracker_options(6);
     opts.threads = threads;
@@ -300,22 +319,40 @@ TEST(IncrementalField, WindowedUpdatesBitwiseIdenticalSerialVsPooled) {
                              tile_footprints(shape.cols, shape.rows), false,
                              kPitch, opts);
     HopFuzz fuzz(shape.cols, shape.rows, 3, Rng(505));
-    std::vector<Grid3> trajectory;
+    Run run;
+    bool killed = false;
     for (int step = 0; step < 15; ++step) {
-      inc.update(fuzz.drive);
-      trajectory.push_back(inc.potential());
-      fuzz.step();
+      const auto rep = inc.update(fuzz.drive);
+      if (killed) {
+        EXPECT_EQ(rep.changed, 1u) << "step " << step;
+        if (!rep.reanchored) ++run.windowed_kills;
+      }
+      run.trajectory.push_back(inc.potential());
+      killed = step == 4 || step == 9;
+      if (killed) {
+        fuzz.kill();
+      } else {
+        fuzz.step();
+      }
     }
-    return trajectory;
+    run.accounting = inc.accounting();
+    return run;
   };
 
-  const std::vector<Grid3> serial = run_once(1);
+  const Run serial = run_once(1);
+  EXPECT_GE(serial.windowed_kills, 1u);
+  EXPECT_GT(serial.accounting.window_solves, 0u);
   for (const std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
-    const std::vector<Grid3> pooled = run_once(threads);
-    ASSERT_EQ(serial.size(), pooled.size());
-    for (std::size_t s = 0; s < serial.size(); ++s)
-      ASSERT_TRUE(bitwise_equal(serial[s], pooled[s]))
+    const Run pooled = run_once(threads);
+    ASSERT_EQ(serial.trajectory.size(), pooled.trajectory.size());
+    for (std::size_t s = 0; s < serial.trajectory.size(); ++s)
+      ASSERT_TRUE(bitwise_equal(serial.trajectory[s], pooled.trajectory[s]))
           << "threads " << threads << " step " << s;
+    EXPECT_EQ(serial.accounting.solves, pooled.accounting.solves) << "threads " << threads;
+    EXPECT_EQ(serial.accounting.window_solves, pooled.accounting.window_solves)
+        << "threads " << threads;
+    EXPECT_EQ(serial.accounting.total_sweeps, pooled.accounting.total_sweeps)
+        << "threads " << threads;
   }
 }
 

@@ -4,8 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 
+#include "chip/defects.hpp"
 #include "chip/device.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -156,7 +159,68 @@ void bm_matched_filter(benchmark::State& state) {
   }
 }
 
+// One closed-loop sense+track step at paper scale (range(0)² pixels): an
+// averaged frame of 128 cells thresholded as the control loop senses it
+// (16 frames, 4σ, 1% defects masked to zero), threshold detection and
+// association of the detections to the cells' trap centers. Counters are
+// per step and deterministic: pixels, Box-Muller pairs evaluated,
+// detections and gated candidate pairs.
+void bm_sense_track(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  const chip::ElectrodeArray array(side, side, 20.0_um);
+  sensor::CapacitivePixel px;
+  px.electrode_area = 16.0_um * 16.0_um;
+  px.chamber_height = 100.0_um;
+  px.sense_voltage = 3.3;
+  const sensor::FrameSynthesizer synth(array, px, 298.15, 555);
+  Rng defect_rng(21);
+  const chip::DefectMap defects = chip::sample_defects(array, 0.01, defect_rng);
+  // Cells on distinct cage sites (every other electrode), a few microns off
+  // their trap centers.
+  Rng place(22);
+  std::vector<sensor::FrameTarget> targets;
+  std::vector<Vec2> expected;
+  while (targets.size() < 128) {
+    const GridCoord site{2 * static_cast<int>(place.uniform_int(1, side / 2 - 2)),
+                         2 * static_cast<int>(place.uniform_int(1, side / 2 - 2))};
+    const Vec2 center = array.center(site);
+    if (std::find(expected.begin(), expected.end(), center) != expected.end()) continue;
+    expected.push_back(center);
+    targets.push_back({{center.x + place.uniform(-3.0_um, 3.0_um),
+                        center.y + place.uniform(-3.0_um, 3.0_um), 9.0_um},
+                       3.5_um});
+  }
+  constexpr std::size_t kFrames = 16;
+  const double threshold = 4.0 * synth.cds_noise_sigma() / std::sqrt(double{kFrames});
+  const double gate = 30.0_um;
+  constexpr std::uint64_t kSenseSeed = 23;
+
+  std::vector<sensor::Detection> dets;
+  for (auto _ : state) {
+    Rng sense(kSenseSeed);  // the same draws every step: constant work
+    Grid2 frame = synth.averaged_frame(targets, sense, kFrames, threshold);
+    sensor::apply_pixel_faults(frame, defects, 0.0);
+    dets = sensor::detect_threshold(frame, array, threshold);
+    const std::vector<int> assigned = sensor::associate_detections(expected, dets, gate);
+    benchmark::DoNotOptimize(assigned.data());
+  }
+  std::size_t gated = 0;
+  for (const Vec2& e : expected)
+    for (const sensor::Detection& d : dets) gated += (e - d.position).norm() <= gate;
+  // Pairs evaluated: the noise call averaged_frame makes, replayed on its
+  // noiseless frame with the same draws.
+  Grid2 ideal = synth.ideal_frame(targets);
+  Rng sense(kSenseSeed);
+  const std::size_t pairs = sense.add_normal(
+      ideal.data(), synth.cds_noise_sigma() / std::sqrt(double{kFrames}), -threshold);
+  state.counters["pixels"] = static_cast<double>(array.electrode_count());
+  state.counters["exact_pairs"] = static_cast<double>(pairs);
+  state.counters["detections"] = static_cast<double>(dets.size());
+  state.counters["gated_pairs"] = static_cast<double>(gated);
+}
+
 BENCHMARK(bm_scan_model)->Arg(320)->Unit(benchmark::kNanosecond);
+BENCHMARK(bm_sense_track)->Arg(320)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_matched_filter)->Arg(64)->Arg(320)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

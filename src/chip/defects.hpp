@@ -34,6 +34,8 @@ class DefectMap {
   int cols() const { return cols_; }
   int rows() const { return rows_; }
   PixelState state(GridCoord c) const;
+  /// Every pixel's state, row-major (row · cols + col).
+  const std::vector<PixelState>& states() const { return states_; }
   void set_state(GridCoord c, PixelState s);
   /// Number of non-OK pixels.
   std::size_t defect_count() const;

@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -38,10 +39,7 @@ Rng::result_type Rng::operator()() {
   return result;
 }
 
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit((*this)()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
@@ -56,23 +54,81 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(v % span);
 }
 
+void Rng::box_muller(std::uint64_t raw1, std::uint64_t raw2, double& z0, double& z1) {
+  // u1 in (0,1] to avoid log(0).
+  double u1 = unit(raw1);
+  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  const double u2 = unit(raw2);
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * constants::pi * u2;
+  z0 = r * std::cos(theta);
+  z1 = r * std::sin(theta);
+}
+
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = uniform();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * constants::pi * u2;
-  cached_normal_ = r * std::sin(theta);
+  const std::uint64_t raw1 = (*this)();
+  const std::uint64_t raw2 = (*this)();
+  double z0 = 0.0;
+  box_muller(raw1, raw2, z0, cached_normal_);
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return z0;
 }
 
 double Rng::normal(double mean, double sigma) { return mean + sigma * normal(); }
+
+std::size_t Rng::add_normal(std::span<double> values, double sigma,
+                            std::optional<double> cutoff) {
+  BIOCHIP_REQUIRE(sigma >= 0.0, "noise sigma must be non-negative");
+  BIOCHIP_REQUIRE(!cutoff || *cutoff < 0.0, "noise cutoff must be negative");
+  // Each entry gets `mean + sigma * z` with mean 0.0 exactly as normal(0, σ)
+  // forms it: the explicit 0.0 + keeps the sign of a zero sum identical.
+  constexpr double mean = 0.0;
+  const std::size_t n = values.size();
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    values[i++] += mean + sigma * cached_normal_;
+  }
+  // A pair is skipped when both entries are quiet (>= cutoff/16) and its
+  // radius sqrt(-2 ln u1) is below R = 0.98·(15/16)·|cutoff|/σ: its noise is
+  // then smaller than 15/16 of |cutoff| (2% spare for rounding), so neither
+  // entry could reach the cutoff, and a quiet entry left as it is stays
+  // above it. With u1 = k·2^-53, k = raw >> 11 (k = 0 read as 1),
+  //   radius < R  <=>  u1 > exp(-R²/2)  <=>  k > floor(exp(-R²/2)·2^53),
+  // an integer compare per pair. Without a cutoff the bound is 2^53, which
+  // no k exceeds.
+  double quiet = 0.0, radius = 0.0;
+  if (cutoff) {
+    quiet = *cutoff / 16.0;
+    radius = 0.98 * (quiet - *cutoff) / sigma;
+  }
+  const auto k_skip = static_cast<std::uint64_t>(
+      std::floor(std::exp(-0.5 * radius * radius) * 0x1.0p53));
+  std::size_t evaluated = 0;
+  for (; i + 1 < n; i += 2) {
+    const std::uint64_t raw1 = (*this)();
+    const std::uint64_t raw2 = (*this)();
+    if (std::max<std::uint64_t>(raw1 >> 11, 1) > k_skip && values[i] >= quiet &&
+        values[i + 1] >= quiet)
+      continue;
+    double z0 = 0.0, z1 = 0.0;
+    box_muller(raw1, raw2, z0, z1);
+    values[i] += mean + sigma * z0;
+    values[i + 1] += mean + sigma * z1;
+    ++evaluated;
+  }
+  // An odd tail opens a pair whose second half stays cached for the next
+  // draw, so it is always evaluated in full.
+  if (i < n) {
+    values[i] += normal(mean, sigma);
+    ++evaluated;
+  }
+  return evaluated;
+}
 
 double Rng::lognormal_mean_cv(double mean, double cv) {
   BIOCHIP_REQUIRE(mean > 0.0, "lognormal mean must be positive");

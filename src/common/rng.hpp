@@ -9,6 +9,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 
 namespace biochip {
 
@@ -36,6 +38,18 @@ class Rng {
   double normal();
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double sigma);
+  /// Adds zero-mean normal noise to every entry of `values`, in order:
+  /// bitwise `v += normal(0.0, sigma)` per entry, leaving the generator where
+  /// those calls leave it. With a `cutoff` (< 0) the noise is exact only where
+  /// it can take an entry to or below the cutoff: a Box-Muller pair whose
+  /// radius cannot bring either of its two entries down to the cutoff is
+  /// drawn but not evaluated, and those entries keep their values. Then
+  /// every entry whose dense value is <= cutoff is still bitwise that value,
+  /// every other entry stays above the cutoff, and the draws after the call
+  /// are unchanged. Returns the number of Box-Muller pairs evaluated (an
+  /// entry-time cached normal is not a pair).
+  std::size_t add_normal(std::span<double> values, double sigma,
+                         std::optional<double> cutoff = std::nullopt);
   /// Log-normal such that the *resulting* distribution has the given
   /// arithmetic mean and coefficient of variation (sigma/mean).
   double lognormal_mean_cv(double mean, double cv);
@@ -59,6 +73,11 @@ class Rng {
   Rng fork(std::uint64_t stream_id) const;
 
  private:
+  /// The 53 high bits of a raw draw as a double in [0, 1).
+  static double unit(std::uint64_t raw) { return static_cast<double>(raw >> 11) * 0x1.0p-53; }
+  /// The two normals of one Box-Muller transform of two raw draws.
+  static void box_muller(std::uint64_t raw1, std::uint64_t raw2, double& z0, double& z1);
+
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

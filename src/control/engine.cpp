@@ -487,7 +487,9 @@ void EpisodeRuntime::tick(int t) {
   threshold_ = config.threshold_sigma * cds_base_sigma_ /
                std::sqrt(static_cast<double>(frames));
   Rng sense = sense_base_.fork(static_cast<std::uint64_t>(t));
-  Grid2 frame = owner_.imager_.averaged_frame(targets, sense, frames);
+  // Only detect_threshold reads the frame, so pixel noise is evaluated
+  // only where it could reach -threshold_ (frame.hpp).
+  Grid2 frame = owner_.imager_.averaged_frame(targets, sense, frames, threshold_);
   // Bad-pixel masking: the controller zeroes known-bad pixels before
   // thresholding (its self-test map is legitimate calibration knowledge).
   // The mask writes exactly the pixel set the raw fault overlay would, so

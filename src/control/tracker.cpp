@@ -6,6 +6,13 @@
 
 namespace biochip::control {
 
+namespace {
+// Orders tracks_ (kept sorted by cage id) against a cage id.
+constexpr auto kIdBefore = [](const auto& track, int cage_id) {
+  return track.cage_id < cage_id;
+};
+}  // namespace
+
 const char* to_string(TrackState state) {
   switch (state) {
     case TrackState::kEmpty: return "empty";
@@ -23,9 +30,7 @@ OccupancyTracker::OccupancyTracker(TrackerConfig config, double gate_radius)
 }
 
 void OccupancyTracker::add_track(int cage_id, TrackState initial) {
-  const auto it = std::lower_bound(
-      tracks_.begin(), tracks_.end(), cage_id,
-      [](const Track& t, int id) { return t.cage_id < id; });
+  const auto it = std::lower_bound(tracks_.begin(), tracks_.end(), cage_id, kIdBefore);
   BIOCHIP_REQUIRE(it == tracks_.end() || it->cage_id != cage_id,
                   "track already registered for this cage");
   Track t;
@@ -42,9 +47,10 @@ void OccupancyTracker::remove_track(int cage_id) {
 }
 
 OccupancyTracker::Track& OccupancyTracker::track(int cage_id) {
-  for (Track& t : tracks_)
-    if (t.cage_id == cage_id) return t;
-  throw PreconditionError("no track for cage " + std::to_string(cage_id));
+  const auto it = std::lower_bound(tracks_.begin(), tracks_.end(), cage_id, kIdBefore);
+  if (it == tracks_.end() || it->cage_id != cage_id)
+    throw PreconditionError("no track for cage " + std::to_string(cage_id));
+  return *it;
 }
 
 const OccupancyTracker::Track& OccupancyTracker::track(int cage_id) const {

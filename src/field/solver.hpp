@@ -181,10 +181,10 @@ struct SolveStats {
 };
 
 /// Cumulative solver work across every `solve_laplace` / `solve_poisson`
-/// call that used one `MultigridWorkspace` — the counting-plane telemetry
-/// source (`obs::fold_solver`). Sums of the per-call `SolveStats` by
-/// construction, so registry metrics reconcile exactly with the counters
-/// the benches accumulate themselves (tests/test_obs.cpp pins this).
+/// call that used one `MultigridWorkspace`. Sums of the per-call
+/// `SolveStats` by construction, so they reconcile exactly with the
+/// counters the benches accumulate themselves (tests/test_obs.cpp pins
+/// this).
 struct SolveAccounting {
   std::uint64_t solves = 0;  ///< full-grid solves (the oracle / re-anchor path)
   std::uint64_t cycles = 0;

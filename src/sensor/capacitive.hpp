@@ -44,6 +44,11 @@ struct CapacitivePixel {
   /// z above the chip surface and lateral offset `lateral` from the pixel
   /// center [F]. Negative (cell displaces high-ε liquid).
   double delta_c(double particle_radius, double z, double lateral) const;
+  /// The two factors of delta_c: the on-axis ΔC of the sphere [F] and the
+  /// lateral falloff (1 at lateral = 0). Their product is bitwise delta_c,
+  /// so a frame can evaluate the first once per particle.
+  double on_axis_delta_c(double particle_radius, double z) const;
+  double lateral_falloff(double lateral) const;
 
   /// Per-frame random noise σ (kT/C sampling + amplifier floor), ΔC-referred
   /// [F rms] at temperature T [K].

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -18,54 +17,111 @@ struct Cluster {
   int count = 0;
 };
 
+// Row-major indices n (= j·nx + i) of the pixels with sign·v <= -threshold.
+// Almost every pixel fails the test, so this one tight pass replaces a
+// per-pixel visit in the cluster loop.
+std::vector<std::size_t> flagged_pixels(const std::vector<double>& values, double sign,
+                                        double threshold) {
+  std::vector<std::size_t> out;
+  const double* v = values.data();
+  const std::size_t size = values.size();
+  const double limit = -threshold;
+  for (std::size_t n = 0; n < size; ++n)
+    if (sign * v[n] <= limit) out.push_back(n);
+  return out;
+}
+
 std::vector<Detection> cluster_map(const Grid2& map, const chip::ElectrodeArray& array,
                                    double threshold, bool negative_signal) {
   const std::size_t nx = map.nx(), ny = map.ny();
+  const double* values = map.data().data();
+  // v >= threshold  <=>  -v <= -threshold (negation is exact), so one
+  // compare serves both polarities.
+  const double sign = negative_signal ? 1.0 : -1.0;
+  auto flagged = [=](std::size_t n) { return sign * values[n] <= -threshold; };
   std::vector<std::uint8_t> visited(nx * ny, 0);
-  auto flagged = [&](std::size_t i, std::size_t j) {
-    const double v = map.at(i, j);
-    return negative_signal ? (v <= -threshold) : (v >= threshold);
-  };
   std::vector<Detection> out;
   std::vector<std::pair<std::size_t, std::size_t>> stack;
-  for (std::size_t j0 = 0; j0 < ny; ++j0)
-    for (std::size_t i0 = 0; i0 < nx; ++i0) {
-      if (visited[j0 * nx + i0] || !flagged(i0, j0)) continue;
-      Cluster cl;
-      stack.clear();
-      stack.emplace_back(i0, j0);
-      visited[j0 * nx + i0] = 1;
-      while (!stack.empty()) {
-        const auto [i, j] = stack.back();
-        stack.pop_back();
-        const double mag = std::fabs(map.at(i, j));
-        const Vec2 ctr = array.center({static_cast<int>(i), static_cast<int>(j)});
-        cl.weight_sum += mag;
-        cl.weighted_pos += ctr * mag;
-        cl.peak = std::max(cl.peak, mag);
-        ++cl.count;
-        for (int dj = -1; dj <= 1; ++dj)
-          for (int di = -1; di <= 1; ++di) {
-            if (di == 0 && dj == 0) continue;
-            const std::ptrdiff_t ni = static_cast<std::ptrdiff_t>(i) + di;
-            const std::ptrdiff_t nj = static_cast<std::ptrdiff_t>(j) + dj;
-            if (ni < 0 || nj < 0 || ni >= static_cast<std::ptrdiff_t>(nx) ||
-                nj >= static_cast<std::ptrdiff_t>(ny))
-              continue;
-            const std::size_t ui = static_cast<std::size_t>(ni);
-            const std::size_t uj = static_cast<std::size_t>(nj);
-            if (visited[uj * nx + ui] || !flagged(ui, uj)) continue;
-            visited[uj * nx + ui] = 1;
-            stack.emplace_back(ui, uj);
-          }
-      }
-      Detection d;
-      d.position = cl.weighted_pos / cl.weight_sum;
-      d.score = cl.peak;
-      d.pixel_count = cl.count;
-      out.push_back(d);
+  // Clusters grow from the flagged pixels in the order a row-major scan
+  // meets them.
+  for (const std::size_t n0 : flagged_pixels(map.data(), sign, threshold)) {
+    if (visited[n0]) continue;
+    Cluster cl;
+    stack.clear();
+    stack.emplace_back(n0 % nx, n0 / nx);
+    visited[n0] = 1;
+    while (!stack.empty()) {
+      const auto [i, j] = stack.back();
+      stack.pop_back();
+      const double mag = std::fabs(values[j * nx + i]);
+      const Vec2 ctr = array.center({static_cast<int>(i), static_cast<int>(j)});
+      cl.weight_sum += mag;
+      cl.weighted_pos += ctr * mag;
+      cl.peak = std::max(cl.peak, mag);
+      ++cl.count;
+      for (int dj = -1; dj <= 1; ++dj)
+        for (int di = -1; di <= 1; ++di) {
+          if (di == 0 && dj == 0) continue;
+          const std::ptrdiff_t ni = static_cast<std::ptrdiff_t>(i) + di;
+          const std::ptrdiff_t nj = static_cast<std::ptrdiff_t>(j) + dj;
+          if (ni < 0 || nj < 0 || ni >= static_cast<std::ptrdiff_t>(nx) ||
+              nj >= static_cast<std::ptrdiff_t>(ny))
+            continue;
+          const std::size_t n = static_cast<std::size_t>(nj) * nx + static_cast<std::size_t>(ni);
+          if (visited[n] || !flagged(n)) continue;
+          visited[n] = 1;
+          stack.emplace_back(static_cast<std::size_t>(ni), static_cast<std::size_t>(nj));
+        }
     }
+    Detection d;
+    d.position = cl.weighted_pos / cl.weight_sum;
+    d.score = cl.peak;
+    d.pixel_count = cl.count;
+    out.push_back(d);
+  }
   return out;
+}
+
+// One pair of a greedy nearest-first matching.
+struct GreedyPair {
+  std::size_t point = 0;      // index into the reference points
+  std::size_t detection = 0;  // index into the detections
+  double distance = 0.0;      // |point - detection| [m]
+};
+
+// Greedy nearest-first matching of detections to reference points within
+// `gate` (inclusive), shared by associate_detections and match_detections.
+// Returns the taken pairs in the order taken (ascending distance).
+std::vector<GreedyPair> greedy_nearest_pairs(const std::vector<Vec2>& points,
+                                             const std::vector<Detection>& detections,
+                                             double gate) {
+  // Every gated pair once, sorted by (distance, point, detection). Walking
+  // that order and taking each pair whose two ends are still free picks,
+  // at every step, the nearest free pair with the lowest point and then
+  // detection index at equal distance: the repeated full-scan greedy
+  // choice, pair for pair and in the same order.
+  std::vector<GreedyPair> candidates;
+  for (std::size_t p = 0; p < points.size(); ++p)
+    for (std::size_t d = 0; d < detections.size(); ++d) {
+      const double dist = (points[p] - detections[d].position).norm();
+      if (dist <= gate) candidates.push_back({p, d, dist});
+    }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const GreedyPair& a, const GreedyPair& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              if (a.point != b.point) return a.point < b.point;
+              return a.detection < b.detection;
+            });
+  std::vector<std::uint8_t> point_used(points.size(), 0);
+  std::vector<std::uint8_t> det_used(detections.size(), 0);
+  std::vector<GreedyPair> taken;
+  for (const GreedyPair& c : candidates) {
+    if (point_used[c.point] || det_used[c.detection]) continue;
+    point_used[c.point] = 1;
+    det_used[c.detection] = 1;
+    taken.push_back(c);
+  }
+  return taken;
 }
 
 }  // namespace
@@ -139,30 +195,8 @@ std::vector<int> associate_detections(const std::vector<Vec2>& expected,
                                       double gate) {
   BIOCHIP_REQUIRE(gate > 0.0, "association gate must be positive");
   std::vector<int> assignment(expected.size(), -1);
-  std::vector<std::uint8_t> det_used(detections.size(), 0);
-  // Greedy nearest-pair assignment, the same scheme as match_detections:
-  // strict < keeps the first (lowest-index) pair at equal distance.
-  for (std::size_t round = 0; round < expected.size(); ++round) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t be = 0, bd = 0;
-    bool found = false;
-    for (std::size_t e = 0; e < expected.size(); ++e) {
-      if (assignment[e] >= 0) continue;
-      for (std::size_t d = 0; d < detections.size(); ++d) {
-        if (det_used[d]) continue;
-        const double dist = (expected[e] - detections[d].position).norm();
-        if (dist <= gate && dist < best) {
-          best = dist;
-          be = e;
-          bd = d;
-          found = true;
-        }
-      }
-    }
-    if (!found) break;
-    assignment[be] = static_cast<int>(bd);
-    det_used[bd] = 1;
-  }
+  for (const GreedyPair& p : greedy_nearest_pairs(expected, detections, gate))
+    assignment[p.point] = static_cast<int>(p.detection);
   return assignment;
 }
 
@@ -180,38 +214,14 @@ MatchStats match_detections(const std::vector<Vec2>& truth,
                             const std::vector<Detection>& detections, double tolerance) {
   BIOCHIP_REQUIRE(tolerance > 0.0, "tolerance must be positive");
   MatchStats stats;
-  std::vector<std::uint8_t> truth_used(truth.size(), 0);
-  std::vector<std::uint8_t> det_used(detections.size(), 0);
-
-  // Greedy nearest-pair matching.
-  while (true) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t bt = 0, bd = 0;
-    bool found = false;
-    for (std::size_t t = 0; t < truth.size(); ++t) {
-      if (truth_used[t]) continue;
-      for (std::size_t d = 0; d < detections.size(); ++d) {
-        if (det_used[d]) continue;
-        const double dist = (truth[t] - detections[d].position).norm();
-        if (dist <= tolerance && dist < best) {
-          best = dist;
-          bt = t;
-          bd = d;
-          found = true;
-        }
-      }
-    }
-    if (!found) break;
-    truth_used[bt] = 1;
-    det_used[bd] = 1;
+  // Pairs come nearest first, so the error sum keeps its ascending order.
+  for (const GreedyPair& p : greedy_nearest_pairs(truth, detections, tolerance)) {
     ++stats.true_positives;
-    stats.mean_localization_error += best;
+    stats.mean_localization_error += p.distance;
   }
   if (stats.true_positives > 0) stats.mean_localization_error /= stats.true_positives;
-  for (std::size_t t = 0; t < truth.size(); ++t)
-    if (!truth_used[t]) ++stats.false_negatives;
-  for (std::size_t d = 0; d < detections.size(); ++d)
-    if (!det_used[d]) ++stats.false_positives;
+  stats.false_negatives = static_cast<int>(truth.size()) - stats.true_positives;
+  stats.false_positives = static_cast<int>(detections.size()) - stats.true_positives;
   return stats;
 }
 

@@ -1,6 +1,8 @@
 #include "sensor/frame.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -25,12 +27,14 @@ Grid2 FrameSynthesizer::ideal_frame(const std::vector<FrameTarget>& targets) con
     BIOCHIP_REQUIRE(t.radius > 0.0, "target radius must be positive");
     const GridCoord lo = array_.nearest({t.position.x - window, t.position.y - window});
     const GridCoord hi = array_.nearest({t.position.x + window, t.position.y + window});
+    // delta_c(r, z, lateral), with its per-particle factor taken once.
+    const double on_axis = pixel_.on_axis_delta_c(t.radius, t.position.z);
     for (int r = lo.row; r <= hi.row; ++r)
       for (int c = lo.col; c <= hi.col; ++c) {
         const Vec2 ctr = array_.center({c, r});
         const double lateral = (ctr - Vec2{t.position.x, t.position.y}).norm();
         frame.at(static_cast<std::size_t>(c), static_cast<std::size_t>(r)) +=
-            pixel_.delta_c(t.radius, t.position.z, lateral);
+            on_axis * pixel_.lateral_falloff(lateral);
       }
   }
   return frame;
@@ -52,12 +56,15 @@ Grid2 FrameSynthesizer::cds_frame(const std::vector<FrameTarget>& targets, Rng& 
 }
 
 Grid2 FrameSynthesizer::averaged_frame(const std::vector<FrameTarget>& targets, Rng& rng,
-                                       std::size_t n_frames) const {
+                                       std::size_t n_frames,
+                                       std::optional<double> threshold) const {
   BIOCHIP_REQUIRE(n_frames >= 1, "need at least one frame");
+  BIOCHIP_REQUIRE(!threshold || *threshold > 0.0, "threshold must be positive");
   Grid2 acc = ideal_frame(targets);
   // Equivalent to averaging n CDS frames: noise σ scales by 1/√n.
   const double sigma = cds_noise_sigma() / std::sqrt(static_cast<double>(n_frames));
-  for (double& v : acc.data()) v += rng.normal(0.0, sigma);
+  rng.add_normal(acc.data(), sigma,
+                 threshold ? std::optional<double>(-*threshold) : std::nullopt);
   return acc;
 }
 
@@ -70,13 +77,23 @@ void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects,
   BIOCHIP_REQUIRE(frame.nx() == static_cast<std::size_t>(defects.cols()) &&
                       frame.ny() == static_cast<std::size_t>(defects.rows()),
                   "frame and defect map shapes differ");
-  for (int r = 0; r < defects.rows(); ++r)
-    for (int c = 0; c < defects.cols(); ++c) {
-      const chip::PixelState s = defects.state({c, r});
-      if (s == chip::PixelState::kOk) continue;
-      frame.at(static_cast<std::size_t>(c), static_cast<std::size_t>(r)) =
-          s == chip::PixelState::kStuckCage ? stuck_cage_dc : 0.0;
+  // Both are row-major (row · cols + col), so one linear pass covers them.
+  // Defects are sparse: eight OK pixels (kOk = 0) pass per word compare.
+  static_assert(static_cast<std::uint8_t>(chip::PixelState::kOk) == 0);
+  const std::vector<chip::PixelState>& states = defects.states();
+  std::vector<double>& values = frame.data();
+  for (std::size_t base = 0; base < states.size(); base += 8) {
+    const std::size_t end = std::min(base + 8, states.size());
+    if (end - base == 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, states.data() + base, sizeof word);
+      if (word == 0) continue;
     }
+    for (std::size_t n = base; n < end; ++n) {
+      if (states[n] == chip::PixelState::kOk) continue;
+      values[n] = states[n] == chip::PixelState::kStuckCage ? stuck_cage_dc : 0.0;
+    }
+  }
 }
 
 OpticalFrameSynthesizer::OpticalFrameSynthesizer(chip::ElectrodeArray array,

@@ -7,6 +7,7 @@
 /// per-pixel fixed-pattern offsets so raw vs. CDS readout can be compared.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "chip/defects.hpp"
@@ -44,8 +45,21 @@ class FrameSynthesizer {
   /// (two samples are differenced).
   Grid2 cds_frame(const std::vector<FrameTarget>& targets, Rng& rng) const;
   /// Mean of n CDS frames (the claim-C4 averaging path).
+  ///
+  /// Without `threshold` every pixel carries its full noise draw. With a
+  /// `threshold` (a positive ΔC magnitude [F], the one `detect_threshold`
+  /// will use), the frame is exact only where that detector can see it:
+  ///  * every pixel whose dense value is <= -threshold is bitwise the dense
+  ///    value, so detections, scores and pixel counts are identical;
+  ///  * every other pixel reads above -threshold: a pixel whose noise
+  ///    cannot reach -threshold (`Rng::add_normal` with cutoff -threshold)
+  ///    may read its noiseless ΔC instead;
+  ///  * `rng` ends in the state the dense call leaves.
+  /// Only the threshold detector may read such a frame: its sub-threshold
+  /// pixels are not noise samples (use the dense path for statistics).
   Grid2 averaged_frame(const std::vector<FrameTarget>& targets, Rng& rng,
-                       std::size_t n_frames) const;
+                       std::size_t n_frames,
+                       std::optional<double> threshold = std::nullopt) const;
 
   /// Per-frame random-noise σ of a CDS read [F].
   double cds_noise_sigma() const;

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
@@ -203,6 +206,89 @@ TEST(Rng, NormalMomentsMatch) {
   for (int i = 0; i < 50000; ++i) s.add(rng.normal(2.0, 3.0));
   EXPECT_NEAR(s.mean(), 2.0, 0.05);
   EXPECT_NEAR(s.stddev(), 3.0, 0.05);
+}
+
+// Bit patterns, so that -0.0 and 0.0 count as different.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Entries of every kind the batch sees: signed zeros, tiny and large
+// negatives, positives.
+std::vector<double> mixed_entries(std::size_t n, std::uint64_t seed, double scale) {
+  Rng pick(seed);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    switch (pick.uniform_int(0, 4)) {
+      case 0: x = 0.0; break;
+      case 1: x = -0.0; break;
+      case 2: x = -scale * pick.uniform(0.0, 0.01); break;
+      case 3: x = -scale * pick.uniform(0.0, 3.0); break;
+      default: x = scale * pick.uniform(0.0, 1.0); break;
+    }
+  }
+  return v;
+}
+
+// The next draws of two generators agree: raw words and a cached normal.
+void expect_same_stream(Rng& a, Rng& b) {
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(bits(a.normal()), bits(b.normal()));
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(a(), b());
+}
+
+TEST(Rng, AddNormalIsBitwiseSequentialNormals) {
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 8u, 101u})
+    for (const bool cached : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " cached=" << cached);
+      Rng seq(31), batch(31);
+      if (cached) {  // one normal() leaves the pair's second half cached
+        EXPECT_EQ(bits(seq.normal()), bits(batch.normal()));
+      }
+      const std::vector<double> start = mixed_entries(n, 5, 2.0);
+      std::vector<double> expect = start, got = start;
+      for (double& v : expect) v += seq.normal(0.0, 0.7);
+      const std::size_t pairs = batch.add_normal(got, 0.7);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits(got[i]), bits(expect[i])) << i;
+      }
+      // Every draw not served from the cache opens one pair.
+      const std::size_t fresh = cached && n > 0 ? n - 1 : n;
+      EXPECT_EQ(pairs, (fresh + 1) / 2);
+      expect_same_stream(seq, batch);
+    }
+}
+
+TEST(Rng, AddNormalWithCutoffIsExactWhereTheCutoffSeesIt) {
+  // Cutoffs of 0.5, 1 and 4 sigma: many pairs straddle the skip radius.
+  const double sigma = 1.5;
+  for (const double k : {0.5, 1.0, 4.0})
+    for (const std::size_t n : {1u, 64u, 999u})
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " n=" << n << " cached=" << cached);
+        const double cutoff = -k * sigma;
+        Rng dense(7), cut(7);
+        if (cached) {
+          EXPECT_EQ(bits(dense.normal()), bits(cut.normal()));
+        }
+        const std::vector<double> start = mixed_entries(n, 11, k * sigma);
+        std::vector<double> expect = start, got = start;
+        dense.add_normal(expect, sigma);
+        const std::size_t pairs = cut.add_normal(got, sigma, cutoff);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (expect[i] <= cutoff) {
+            EXPECT_EQ(bits(got[i]), bits(expect[i])) << i;
+          } else {
+            EXPECT_GT(got[i], cutoff) << i;
+          }
+        }
+        EXPECT_LE(pairs, (n + 1) / 2);
+        if (k == 4.0 && n == 999) {
+          EXPECT_LT(pairs, (n + 1) / 2);  // the skip path ran
+        }
+        expect_same_stream(dense, cut);
+      }
+  Rng rng(1);
+  std::vector<double> v(4);
+  EXPECT_THROW(rng.add_normal(v, 1.0, 0.0), PreconditionError);
+  EXPECT_THROW(rng.add_normal(v, -1.0), PreconditionError);
 }
 
 TEST(Rng, LognormalMeanCvMatchesRequestedMoments) {

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "chip/defects.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "sensor/capacitive.hpp"
@@ -361,6 +367,174 @@ TEST(Detect, AssociateNearestWithinGate) {
   const std::vector<int> b = associate_detections(both, one, 30e-6);
   EXPECT_EQ(b[0], 0);
   EXPECT_EQ(b[1], -1);
+}
+
+// ------------------------------------------- thresholded-frame identity ----
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A crowd of cells on an odd-sized array (31 x 27), some near the edges and
+// some close enough to merge, at heights that give a range of SNRs.
+class ThresholdedFrameTest : public ::testing::Test {
+ protected:
+  chip::ElectrodeArray array_{31, 27, 20.0e-6};
+  FrameSynthesizer synth_{array_, paper_pixel(), 298.15, 123};
+
+  std::vector<FrameTarget> crowd(std::uint64_t seed) const {
+    Rng pick(seed);
+    std::vector<FrameTarget> out;
+    for (int k = 0; k < 12; ++k)
+      out.push_back({{pick.uniform(0.0, 620e-6), pick.uniform(0.0, 540e-6),
+                      pick.uniform(5.5e-6, 20e-6)},
+                     pick.uniform(3e-6, 6e-6)});
+    return out;
+  }
+  double sigma(std::size_t frames) const {
+    return synth_.cds_noise_sigma() / std::sqrt(static_cast<double>(frames));
+  }
+};
+
+TEST_F(ThresholdedFrameTest, ExactWhereTheDetectorLooks) {
+  for (const double k : {0.5, 1.0, 4.0})
+    for (const std::size_t frames : {1u, 16u})
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " frames=" << frames
+                                        << " cached=" << cached);
+        const double threshold = k * sigma(frames);
+        Rng dense_rng(3), cut_rng(3);
+        if (cached) {  // a cached normal at entry, and an odd frame offset
+          EXPECT_EQ(bits(dense_rng.normal()), bits(cut_rng.normal()));
+        }
+        const std::vector<FrameTarget> targets = crowd(17);
+        const Grid2 dense = synth_.averaged_frame(targets, dense_rng, frames);
+        const Grid2 cut = synth_.averaged_frame(targets, cut_rng, frames, threshold);
+        std::size_t differing = 0;
+        for (std::size_t n = 0; n < dense.size(); ++n) {
+          const double d = dense.data()[n], c = cut.data()[n];
+          if (d <= -threshold) {
+            EXPECT_EQ(bits(c), bits(d)) << n;
+          } else {
+            EXPECT_GT(c, -threshold) << n;
+          }
+          differing += bits(c) != bits(d);
+        }
+        if (k == 4.0) {
+          EXPECT_GT(differing, dense.size() / 2);  // the skip path ran
+        }
+        for (int draw = 0; draw < 3; ++draw)
+          EXPECT_EQ(bits(dense_rng.normal()), bits(cut_rng.normal()));
+        EXPECT_EQ(dense_rng(), cut_rng());
+      }
+  Rng rng(1);
+  EXPECT_THROW(synth_.averaged_frame({}, rng, 4, 0.0), PreconditionError);
+}
+
+TEST_F(ThresholdedFrameTest, DetectionsAreIdenticalOnDenseAndThresholdedFrames) {
+  Rng defect_rng(8);
+  const chip::DefectMap defects = chip::sample_defects(array_, 0.03, defect_rng);
+  for (const std::uint64_t seed : {1u, 2u, 3u})
+    for (const std::size_t frames : {1u, 16u, 64u})
+      for (const int overlay : {0, 1, 2}) {  // none, stuck-cage phantoms, masked
+        SCOPED_TRACE(testing::Message() << "seed=" << seed << " frames=" << frames
+                                        << " overlay=" << overlay);
+        const double threshold = 4.0 * sigma(frames);
+        const std::vector<FrameTarget> targets = crowd(seed + 40);
+        Rng dense_rng(seed), cut_rng(seed);
+        Grid2 dense = synth_.averaged_frame(targets, dense_rng, frames);
+        Grid2 cut = synth_.averaged_frame(targets, cut_rng, frames, threshold);
+        if (overlay > 0) {
+          const double stuck_dc = overlay == 1 ? -4.0 * threshold : 0.0;
+          apply_pixel_faults(dense, defects, stuck_dc);
+          apply_pixel_faults(cut, defects, stuck_dc);
+        }
+        const std::vector<Detection> a = detect_threshold(dense, array_, threshold);
+        const std::vector<Detection> b = detect_threshold(cut, array_, threshold);
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_FALSE(a.empty());
+        for (std::size_t n = 0; n < a.size(); ++n) {
+          EXPECT_EQ(bits(a[n].position.x), bits(b[n].position.x)) << n;
+          EXPECT_EQ(bits(a[n].position.y), bits(b[n].position.y)) << n;
+          EXPECT_EQ(bits(a[n].score), bits(b[n].score)) << n;
+          EXPECT_EQ(a[n].pixel_count, b[n].pixel_count) << n;
+        }
+      }
+}
+
+// ------------------------------------------------ greedy matcher oracle ----
+
+// The repeated full-scan greedy matcher: each step takes the nearest free
+// pair within the gate, lowest point and then detection index at equal
+// distance. Returns (point, detection, distance) in the order taken.
+struct OraclePair {
+  std::size_t point, detection;
+  double distance;
+};
+std::vector<OraclePair> cubic_greedy(const std::vector<Vec2>& points,
+                                     const std::vector<Detection>& dets, double gate) {
+  std::vector<std::uint8_t> point_used(points.size(), 0), det_used(dets.size(), 0);
+  std::vector<OraclePair> taken;
+  while (true) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t bp = 0, bd = 0;
+    bool found = false;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      if (point_used[p]) continue;
+      for (std::size_t d = 0; d < dets.size(); ++d) {
+        if (det_used[d]) continue;
+        const double dist = (points[p] - dets[d].position).norm();
+        if (dist <= gate && dist < best) {
+          best = dist;
+          bp = p;
+          bd = d;
+          found = true;
+        }
+      }
+    }
+    if (!found) break;
+    point_used[bp] = 1;
+    det_used[bd] = 1;
+    taken.push_back({bp, bd, best});
+  }
+  return taken;
+}
+
+TEST(Detect, GreedyMatchersAgreeWithCubicOracleUnderTies) {
+  // Integer lattice coordinates make equal distances common (3-4-5, mirror
+  // images) and put pairs exactly on the gate.
+  const double gate = 5.0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng pick(seed);
+    const auto lattice = [&] {
+      return Vec2{static_cast<double>(pick.uniform_int(0, 12)),
+                  static_cast<double>(pick.uniform_int(0, 12))};
+    };
+    std::vector<Vec2> points(static_cast<std::size_t>(pick.uniform_int(0, 14)));
+    for (Vec2& p : points) p = lattice();
+    std::vector<Detection> dets(static_cast<std::size_t>(pick.uniform_int(0, 14)));
+    for (Detection& d : dets) d.position = lattice();
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+
+    const std::vector<OraclePair> oracle = cubic_greedy(points, dets, gate);
+    std::vector<int> expect(points.size(), -1);
+    double error_sum = 0.0;
+    for (const OraclePair& p : oracle) {
+      expect[p.point] = static_cast<int>(p.detection);
+      error_sum += p.distance;
+    }
+    EXPECT_EQ(associate_detections(points, dets, gate), expect);
+
+    const MatchStats stats = match_detections(points, dets, gate);
+    const int tp = static_cast<int>(oracle.size());
+    EXPECT_EQ(stats.true_positives, tp);
+    EXPECT_EQ(stats.false_negatives, static_cast<int>(points.size()) - tp);
+    EXPECT_EQ(stats.false_positives, static_cast<int>(dets.size()) - tp);
+    EXPECT_EQ(bits(stats.mean_localization_error), bits(tp > 0 ? error_sum / tp : 0.0));
+  }
+  // A pair exactly at the gate is taken; one just beyond it is not.
+  const std::vector<Detection> at_gate{{{3.0, 4.0}, 1.0, 1}};
+  EXPECT_EQ(associate_detections({{0.0, 0.0}}, at_gate, 5.0), std::vector<int>{0});
+  EXPECT_EQ(associate_detections({{0.0, 0.0}}, at_gate, std::nextafter(5.0, 0.0)),
+            std::vector<int>{-1});
 }
 
 TEST(Detect, ThresholdValidation) {

@@ -1,5 +1,5 @@
-// Experiment S-1 — field-solver engineering: SOR vs cascade vs multigrid
-// V-cycle scaling (with fine-grid-equivalent work accounting), solver
+// Experiment S-1 — field-solver engineering: SOR vs multigrid V-cycle vs
+// FMG scaling (with fine-grid-equivalent work accounting), solver
 // accuracy against the analytic parallel-plate solution, and the
 // superposition-cache ablation that makes many-pattern simulation
 // tractable (DESIGN.md §5).
@@ -44,29 +44,27 @@ DirichletBc plate_bc(const Grid3& g, double v_bottom, double v_top) {
 // problem — whose solution is linear in z, so nested iteration interpolates
 // it exactly and converges in one fine sweep — this is a genuinely 3D
 // workload on which the multilevel strategies earn their keep;
-// bm_multilevel / bm_cascade run on it for exactly that reason.
+// bm_multilevel / bm_fmg run on it for exactly that reason.
 DirichletBc cage_bc(const Grid3& g, double v) { return cage_reference_bc(g, v); }
 
 void print_solver_scaling() {
   print_banner(
       std::cout,
-      "S-1: SOR vs cascade vs V-cycle vs FMG (cage-electrode BC, matched residual)");
-  Table t({"grid", "SOR fe-sweeps", "cascade fe-sweeps", "vcycle fe-sweeps",
-           "fmg fe-sweeps", "fmg cycles", "residual [V]", "cascade/fmg"});
+      "S-1: SOR vs V-cycle vs FMG (cage-electrode BC, matched residual)");
+  Table t({"grid", "SOR fe-sweeps", "vcycle fe-sweeps", "fmg fe-sweeps", "fmg cycles",
+           "residual [V]", "SOR/fmg"});
   for (std::size_t n : {17u, 33u, 65u}) {
-    Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6), c(n, n, n, 1e-6), d(n, n, n, 1e-6);
+    Grid3 a(n, n, n, 1e-6), c(n, n, n, 1e-6), d(n, n, n, 1e-6);
     const DirichletBc bc = cage_bc(a, 3.3);
     SolverOptions plain;
-    plain.multilevel = false;
-    SolverOptions cascade;
-    cascade.cycle = CycleType::cascade;
+    plain.cycle = CycleType::sor;
+    plain.tolerance = 1e-8;
     const SolveStats sa = solve_laplace(a, bc, plain);
-    const SolveStats sb = solve_laplace(b, bc, cascade);
-    // The cycles target the residual the cascade actually achieved, so the
-    // work columns compare equal-quality solves.
+    // The cycles target the residual a tight plain-SOR solve achieved, so
+    // the work columns compare equal-quality solves.
     SolverOptions vcycle;
     vcycle.cycle = CycleType::vcycle;
-    vcycle.cycle_tolerance = laplacian_residual(b, bc);
+    vcycle.cycle_tolerance = laplacian_residual(a, bc);
     const SolveStats sc = solve_laplace(c, bc, vcycle);
     SolverOptions fmg;
     fmg.cycle = CycleType::fmg;
@@ -75,23 +73,22 @@ void print_solver_scaling() {
     t.row()
         .cell(std::to_string(n) + "^3")
         .cell(sa.fine_equiv_sweeps, 1)
-        .cell(sb.fine_equiv_sweeps, 1)
         .cell(sc.fine_equiv_sweeps, 1)
         .cell(sd.fine_equiv_sweeps, 1)
         .cell(std::to_string(sd.cycles))
         .cell(laplacian_residual(d, bc), 9)
-        .cell(sb.fine_equiv_sweeps / sd.fine_equiv_sweeps, 2);
+        .cell(sa.fine_equiv_sweeps / sd.fine_equiv_sweeps, 2);
   }
   t.print(std::cout);
-  std::cout << "\nShape check: the cascade's fine-equivalent work grows with grid\n"
-               "size (it only improves the initial guess); the V-cycle corrects\n"
+  std::cout << "\nShape check: SOR's fine-equivalent work grows with grid size\n"
+               "(it only smooths on the fine grid); the V-cycle corrects\n"
                "fine-grid error on coarse grids, so its work per solve stays\n"
                "nearly flat; FMG prepends the nested-iteration start and cuts\n"
                "another cycle or two off the fine-level iteration.\n";
 
   print_banner(std::cout,
                "S-1: thin-gap (1-node) calibration patch — RAP coarse operators");
-  Table tg({"grid", "vcycle rho/cycle", "cascade fe-sweeps", "vcycle fe-sweeps",
+  Table tg({"grid", "vcycle rho/cycle", "SOR fe-sweeps", "vcycle fe-sweeps",
             "fmg fe-sweeps", "fallback sweeps"});
   for (std::size_t n : {33u, 65u}) {
     Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6), c(n, n, n, 1e-6);
@@ -106,9 +103,10 @@ void print_solver_scaling() {
       return solve_laplace(phi, bc, o).final_residual;
     };
     const double rho = std::sqrt(residual_after(4) / residual_after(2));
-    SolverOptions cascade;
-    cascade.cycle = CycleType::cascade;
-    const SolveStats sa = solve_laplace(a, bc, cascade);
+    SolverOptions plain;
+    plain.cycle = CycleType::sor;
+    plain.tolerance = 1e-8;
+    const SolveStats sa = solve_laplace(a, bc, plain);
     SolverOptions vcycle;
     vcycle.cycle = CycleType::vcycle;
     vcycle.cycle_tolerance = laplacian_residual(a, bc);
@@ -132,29 +130,25 @@ void print_solver_scaling() {
   tg.print(std::cout);
   std::cout << "\nShape check: before the Galerkin (RAP) coarse operators this BC\n"
                "stalled the cycle (injected coarse masks erase a 1-node gap) and\n"
-               "bailed out to the cascade; now the contraction is grid-independent\n"
+               "needed a fallback; now the contraction is grid-independent\n"
                "and the fallback column is zero.\n";
 
-  print_banner(std::cout, "S-1: plate-problem accuracy (both strategies, tol 1e-6)");
-  Table t2({"grid", "vcycle err vs analytic [V]", "cascade err vs analytic [V]"});
+  print_banner(std::cout, "S-1: plate-problem accuracy (V-cycle, tol 1e-6)");
+  Table t2({"grid", "vcycle err vs analytic [V]"});
   for (std::size_t n : {17u, 33u, 65u}) {
-    Grid3 b(n, n, n, 1e-6), c(n, n, n, 1e-6);
-    const DirichletBc bc = plate_bc(b, 0.0, 3.3);
-    SolverOptions cascade;
-    cascade.cycle = CycleType::cascade;
+    Grid3 c(n, n, n, 1e-6);
+    const DirichletBc bc = plate_bc(c, 0.0, 3.3);
     SolverOptions vcycle;
     vcycle.cycle = CycleType::vcycle;
-    solve_laplace(b, bc, cascade);
     solve_laplace(c, bc, vcycle);
     const double gap = static_cast<double>(n - 1) * 1e-6;
-    double errb = 0.0, errc = 0.0;
+    double errc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
       const double expect =
           parallel_plate_potential(0.0, 3.3, gap, static_cast<double>(k) * 1e-6);
-      errb = std::max(errb, std::fabs(b.at(n / 2, n / 2, k) - expect));
       errc = std::max(errc, std::fabs(c.at(n / 2, n / 2, k) - expect));
     }
-    t2.row().cell(std::to_string(n) + "^3").cell(errc, 6).cell(errb, 6);
+    t2.row().cell(std::to_string(n) + "^3").cell(errc, 6);
   }
   t2.print(std::cout);
 }
@@ -239,16 +233,16 @@ void bm_sor(benchmark::State& state) {
     Grid3 g(n, n, n, 1e-6);
     const DirichletBc bc = plate_bc(g, 0.0, 3.3);
     SolverOptions opts;
-    opts.multilevel = false;
+    opts.cycle = CycleType::sor;
     SolveStats s = solve_laplace(g, bc, opts);
     benchmark::DoNotOptimize(s.sweeps);
   }
 }
 
 // Production multilevel path: the V-cycle on the cage-electrode BC. (The
-// historical bm_multilevel measured the cascade on the plate problem, which
-// nested iteration solves exactly by interpolation — a degenerate case; see
-// docs/perf.md for the trajectory discontinuity note.)
+// historical bm_multilevel measured nested iteration on the plate problem,
+// which interpolation solves exactly — a degenerate case; see docs/perf.md
+// for the trajectory discontinuity note.)
 void bm_multilevel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   double fe = 0.0;
@@ -257,22 +251,6 @@ void bm_multilevel(benchmark::State& state) {
     const DirichletBc bc = cage_bc(g, 3.3);
     SolverOptions opts;
     opts.cycle = CycleType::vcycle;
-    SolveStats s = solve_laplace(g, bc, opts);
-    fe = s.fine_equiv_sweeps;
-    benchmark::DoNotOptimize(s.sweeps);
-  }
-  state.counters["fe_sweeps"] = fe;
-}
-
-// The nested-iteration oracle on the same workload, for the head-to-head.
-void bm_cascade(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  double fe = 0.0;
-  for (auto _ : state) {
-    Grid3 g(n, n, n, 1e-6);
-    const DirichletBc bc = cage_bc(g, 3.3);
-    SolverOptions opts;
-    opts.cycle = CycleType::cascade;
     SolveStats s = solve_laplace(g, bc, opts);
     fe = s.fine_equiv_sweeps;
     benchmark::DoNotOptimize(s.sweeps);
@@ -389,8 +367,8 @@ void bm_fmg(benchmark::State& state) {
 }
 
 // Thin-gap (1-node) calibration-patch BC: the geometry whose coarse masks
-// lose the gap under injection. range(1) selects the strategy so the JSON
-// carries the cascade/vcycle/fmg work trajectory on the RAP-critical case.
+// lose the gap under injection. range(1) selects the strategy (1 = vcycle,
+// 2 = fmg) so the JSON carries the work trajectory on the RAP-critical case.
 void bm_thin_gap(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto strategy = static_cast<int>(state.range(1));
@@ -399,9 +377,7 @@ void bm_thin_gap(benchmark::State& state) {
     Grid3 g(n, n, n, 1e-6);
     const DirichletBc bc = cage_thin_gap_bc(g, 3.3, 1);
     SolverOptions opts;
-    opts.cycle = strategy == 0   ? CycleType::cascade
-                 : strategy == 1 ? CycleType::vcycle
-                                 : CycleType::fmg;
+    opts.cycle = strategy == 1 ? CycleType::vcycle : CycleType::fmg;
     SolveStats s = solve_laplace(g, bc, opts);
     fe = s.fine_equiv_sweeps;
     benchmark::DoNotOptimize(s.sweeps);
@@ -460,7 +436,7 @@ void bm_sor_threads(benchmark::State& state) {
     Grid3 g(n, n, n, 1e-6);
     const DirichletBc bc = plate_bc(g, 0.0, 3.3);
     SolverOptions opts;
-    opts.multilevel = false;
+    opts.cycle = CycleType::sor;
     opts.threads = threads;
     SolveStats s = solve_laplace(g, bc, opts);
     benchmark::DoNotOptimize(s.sweeps);
@@ -469,15 +445,12 @@ void bm_sor_threads(benchmark::State& state) {
 
 BENCHMARK(bm_sor)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_multilevel)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_cascade)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_vcycle_warm)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_incremental)->Arg(1)->Arg(16)->Arg(0)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_fmg)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_thin_gap)
-    ->Args({33, 0})
     ->Args({33, 1})
     ->Args({33, 2})
-    ->Args({65, 0})
     ->Args({65, 1})
     ->Args({65, 2})
     ->Unit(benchmark::kMillisecond);

@@ -82,60 +82,6 @@ void apply_dirichlet(Grid3& phi, const DirichletBc& bc) {
     if (bc.fixed[n]) phi.data()[n] = bc.value[n];
 }
 
-// Serial red-black sweep with the two colors fused into one plane-pipelined
-// pass: color 1 of plane k-1 relaxes immediately after color 0 of plane k,
-// while the three-plane window is still cache-resident. Every read each
-// relax makes sees exactly the value it would in the two-pass ordering
-// (color 0 of plane k runs before color 1 of planes >= k-1; color 1 of
-// plane k runs after color 0 of planes <= k+1), so the result is bitwise
-// identical to the half-sweep pair — at half the DRAM traffic, which is
-// what bounds large grids.
-double fused_sweep(double* d, const std::uint8_t* fixed, const std::uint8_t* plane_fixed,
-                   const double* rhs, double h2, stencil::Dims dims, double omega) {
-  const auto has = [&](std::size_t k) { return plane_fixed == nullptr || plane_fixed[k] != 0; };
-  double worst = stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, 0, has(0));
-  for (std::size_t k = 1; k < dims.nz; ++k) {
-    worst = std::max(worst,
-                     stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, k, has(k)));
-    worst = std::max(worst, stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1,
-                                                  k - 1, has(k - 1)));
-  }
-  return std::max(worst, stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1,
-                                               dims.nz - 1, has(dims.nz - 1)));
-}
-
-// Two full sweeps pipelined through one memory pass (temporal blocking).
-// Four stages trail each other down the plane axis — A1 = sweep s color 0,
-// B1 = sweep s color 1, A2 = sweep s+1 color 0, B2 = sweep s+1 color 1 —
-// in the order A1(k), B1(k-1), A2(k-2), B2(k-3). Each stage finds every
-// neighbor value in exactly the state the sequential four-half-sweep order
-// would produce (the trailing stage at plane p runs only after the leading
-// stage has cleared p+1), so the result is bitwise identical while the
-// grid streams through the cache once instead of twice.
-// Only the second sweep's update norm is tracked — the first one's is never
-// consulted by any caller, and skipping the reduction trims the hot loop.
-double fused_sweep_pair(double* d, const std::uint8_t* fixed,
-                        const std::uint8_t* plane_fixed, const double* rhs, double h2,
-                        stencil::Dims dims, double omega) {
-  const auto nz = static_cast<std::ptrdiff_t>(dims.nz);
-  double u2 = 0.0;
-  const auto stage = [&](int color, std::ptrdiff_t k, bool track) {
-    if (k < 0 || k >= nz) return;
-    const auto ku = static_cast<std::size_t>(k);
-    const bool has = plane_fixed == nullptr || plane_fixed[ku] != 0;
-    const double u =
-        stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, color, ku, has, track);
-    if (track) u2 = std::max(u2, u);
-  };
-  for (std::ptrdiff_t kk = 0; kk < nz + 3; ++kk) {
-    stage(0, kk, false);
-    stage(1, kk - 1, false);
-    stage(0, kk - 2, true);
-    stage(1, kk - 3, true);
-  }
-  return u2;
-}
-
 // Per-plane Dirichlet classification: flags[k] != 0 when plane k holds any
 // fixed node. Costs one pass over the mask; saves the mask loads and
 // branches on every subsequent sweep of the (usually all-free) interior.
@@ -151,6 +97,21 @@ std::vector<std::uint8_t> classify_planes(const std::uint8_t* fixed, stencil::Di
       }
   }
   return flags;
+}
+
+// One red-black sweep of the 7-point smoother, each color fanned out over
+// the planes (inline when the runner has no pool). Returns the sweep's max
+// update when `track`, else 0.
+double rb_sweep(const PlaneRunner& planes, double* d, const std::uint8_t* fixed,
+                const std::uint8_t* plane_fixed, const double* rhs, double h2,
+                stencil::Dims dims, double omega, bool track) {
+  double update = 0.0;
+  for (int color = 0; color < 2; ++color)
+    update = std::max(update, planes.run_max(dims.nz, [&](std::size_t k) {
+      return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, color, k,
+                                   plane_fixed[k] != 0, track);
+    }));
+  return update;
 }
 
 // Residual norm in laplacian_residual units, honouring a Poisson RHS.
@@ -184,44 +145,22 @@ SolveStats sor_solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
   double* d = phi.data().data();
   const std::uint8_t* fixed = bc.fixed.data();
 
-  // Convergence is tested every second sweep on both the serial and the
-  // threaded path: identical stopping schedules keep sweep counts and
-  // results bitwise equal across thread counts, and the pairing lets the
-  // serial path pipeline two sweeps through one memory pass.
+  // Convergence is tested every second sweep, and only the second sweep of
+  // a pair tracks its update norm. The schedule fixes the sweep count of
+  // every SOR solve, and with it the results the regression fingerprints
+  // pin, so it must not change with the thread count or the kernel path.
   const std::vector<std::uint8_t> plane_fixed = classify_planes(fixed, dims);
-  const std::uint8_t* pf = plane_fixed.data();
-  const auto parallel_sweep = [&](bool track) {
-    const double u0 = planes.run_max(dims.nz, [&](std::size_t k) {
-      return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, k, pf[k] != 0,
-                                   track);
-    });
-    const double u1 = planes.run_max(dims.nz, [&](std::size_t k) {
-      return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1, k, pf[k] != 0,
-                                   track);
-    });
-    return std::max(u0, u1);
+  const auto sweep = [&](bool track) {
+    return rb_sweep(planes, d, fixed, plane_fixed.data(), rhs, h2, dims, omega, track);
   };
   SolveStats stats;
-  std::size_t s = 0;
-  while (s < opts.max_sweeps) {
-    if (s + 2 <= opts.max_sweeps) {
-      double u2;
-      if (pool == nullptr) {
-        u2 = fused_sweep_pair(d, fixed, pf, rhs, h2, dims, omega);
-      } else {
-        parallel_sweep(false);
-        u2 = parallel_sweep(true);
-      }
-      s += 2;
-      stats.sweeps = s;
-      stats.final_update = u2;
-    } else {
-      stats.final_update = pool == nullptr
-                               ? fused_sweep(d, fixed, pf, rhs, h2, dims, omega)
-                               : parallel_sweep(true);
-      ++s;
-      stats.sweeps = s;
+  while (stats.sweeps < opts.max_sweeps) {
+    if (stats.sweeps + 2 <= opts.max_sweeps) {
+      sweep(false);
+      ++stats.sweeps;
     }
+    stats.final_update = sweep(true);
+    ++stats.sweeps;
     if (stats.final_update < opts.tolerance) {
       stats.converged = true;
       break;
@@ -239,55 +178,6 @@ bool can_coarsen_dims(std::size_t nx, std::size_t ny, std::size_t nz) {
 
 bool can_coarsen(const Grid3& g) { return can_coarsen_dims(g.nx(), g.ny(), g.nz()); }
 
-// Restrict BC by injection at coincident nodes.
-void restrict_bc(const Grid3& fine, const DirichletBc& fine_bc, const Grid3& coarse,
-                 DirichletBc& coarse_bc) {
-  for (std::size_t k = 0; k < coarse.nz(); ++k)
-    for (std::size_t j = 0; j < coarse.ny(); ++j)
-      for (std::size_t i = 0; i < coarse.nx(); ++i) {
-        const std::size_t fn = fine.index_unchecked(2 * i, 2 * j, 2 * k);
-        const std::size_t cn = coarse.index_unchecked(i, j, k);
-        coarse_bc.fixed[cn] = fine_bc.fixed[fn];
-        coarse_bc.value[cn] = fine_bc.value[fn];
-      }
-}
-
-// ------------------------------------------------------- cascade (oracle) ----
-
-// Coarse-to-fine nested iteration: improves the initial guess only, never
-// corrects fine-grid error on a coarse grid. Kept as the equivalence and
-// regression oracle for the V-cycle.
-SolveStats multilevel_solve(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts,
-                            std::size_t& total_sweeps, double& fine_equiv, double ratio) {
-  if (can_coarsen(phi)) {
-    Grid3 coarse((phi.nx() - 1) / 2 + 1, (phi.ny() - 1) / 2 + 1, (phi.nz() - 1) / 2 + 1,
-                 phi.spacing() * 2.0);
-    DirichletBc coarse_bc = DirichletBc::all_free(coarse);
-    restrict_bc(phi, bc, coarse, coarse_bc);
-    // Inject current fine values as the coarse initial guess.
-    for (std::size_t k = 0; k < coarse.nz(); ++k)
-      for (std::size_t j = 0; j < coarse.ny(); ++j)
-        for (std::size_t i = 0; i < coarse.nx(); ++i)
-          coarse.at_unchecked(i, j, k) = phi.at_unchecked(2 * i, 2 * j, 2 * k);
-    multilevel_solve(coarse, coarse_bc, opts, total_sweeps, fine_equiv, ratio / 8.0);
-    // Prolong: trilinear interpolation of the coarse solution as the fine guess.
-    const double h = phi.spacing();
-    for (std::size_t k = 0; k < phi.nz(); ++k)
-      for (std::size_t j = 0; j < phi.ny(); ++j)
-        for (std::size_t i = 0; i < phi.nx(); ++i) {
-          const std::size_t n = phi.index_unchecked(i, j, k);
-          if (bc.fixed[n]) continue;
-          phi.data()[n] = coarse.sample({static_cast<double>(i) * h,
-                                         static_cast<double>(j) * h,
-                                         static_cast<double>(k) * h});
-        }
-  }
-  SolveStats stats = sor_solve(phi, bc, nullptr, opts, ratio);
-  total_sweeps += stats.sweeps;
-  fine_equiv += stats.fine_equiv_sweeps;
-  return stats;
-}
-
 // ----------------------------------------------------------------- V-cycle ----
 
 // A 27-point variable-coefficient smoothing sweep touches ~27/7 of the
@@ -297,7 +187,7 @@ constexpr double kVarSweepCost = 27.0 / 7.0;
 
 // FMG prolongation: tricubic interpolation of the coarse-level solution
 // REPLACING the free nodes of fine plane kf (nested iteration overwrites
-// the finer level's initial guess, exactly like the cascade). The upward
+// the finer level's initial guess). The upward
 // FMG transfer is higher order than the V-cycle's correction transfer
 // (trilinear) so the interpolation error of the start does not dominate the
 // first fine cycles; 4-tap cubic weights (-1, 9, 9, -1)/16 per odd axis,
@@ -436,29 +326,13 @@ class VcycleDriver {
 
  private:
   // Constant-coefficient smoothing for the finest (7-point Laplacian) level.
+  // Only the last sweep tracks its update norm: nothing reads the others.
   double smooth_const(const LevelView& v, std::size_t sweeps, double omega,
                       bool count_fine) {
     double update = 0.0;
-    std::size_t s = 0;
-    while (s < sweeps) {
-      if (planes_.pool == nullptr && s + 2 <= sweeps) {
-        update = fused_sweep_pair(v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims,
-                                  omega);
-        s += 2;
-      } else if (planes_.pool == nullptr) {
-        update = fused_sweep(v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims, omega);
-        ++s;
-      } else {
-        for (int color = 0; color < 2; ++color) {
-          const double u = planes_.run_max(v.dims.nz, [&](std::size_t k) {
-            return stencil::smooth_plane(v.phi, v.fixed, v.rhs, v.h2, v.dims, omega,
-                                         color, k, v.plane_fixed[k] != 0);
-          });
-          update = std::max(color == 0 ? 0.0 : update, u);
-        }
-        ++s;
-      }
-    }
+    for (std::size_t s = 0; s < sweeps; ++s)
+      update = rb_sweep(planes_, v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims,
+                        omega, s + 1 == sweeps);
     stats_.total_sweeps += sweeps;
     if (count_fine) stats_.sweeps += sweeps;
     stats_.fine_equiv_sweeps += static_cast<double>(sweeps) * v.ratio;
@@ -635,28 +509,15 @@ SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rh
   }
   // Terminal safety net only (max_cycles exhausted): with RAP coarse
   // operators the cycle no longer stalls on representable geometry, so this
-  // is not a mid-flight bail-out. Skipped when the caller left no sweep
-  // budget (max_sweeps = 0): the cascade's prolongation without any
-  // smoothing would only corrupt the cycle's iterate.
+  // is not a mid-flight bail-out. The cycle's iterate finishes on plain SOR,
+  // unless the caller left no sweep budget (max_sweeps = 0).
   if (!stats.converged && opts.max_sweeps > 0) {
-    if (fine_rhs == nullptr) {
-      std::size_t total = 0;
-      double fine_equiv = 0.0;
-      const SolveStats tail = multilevel_solve(phi, bc, opts, total, fine_equiv, 1.0);
-      stats.sweeps += tail.sweeps;
-      stats.total_sweeps += total;
-      stats.fine_equiv_sweeps += fine_equiv;
-      stats.final_update = tail.final_update;
-      stats.converged = tail.converged;
-    } else {
-      // The cascade is Laplace-only; Poisson problems finish on plain SOR.
-      const SolveStats tail = sor_solve(phi, bc, fine_rhs, opts, 1.0);
-      stats.sweeps += tail.sweeps;
-      stats.total_sweeps += tail.total_sweeps;
-      stats.fine_equiv_sweeps += tail.fine_equiv_sweeps;
-      stats.final_update = tail.final_update;
-      stats.converged = tail.converged;
-    }
+    const SolveStats tail = sor_solve(phi, bc, fine_rhs, opts, 1.0);
+    stats.sweeps += tail.sweeps;
+    stats.total_sweeps += tail.total_sweeps;
+    stats.fine_equiv_sweeps += tail.fine_equiv_sweeps;
+    stats.final_update = tail.final_update;
+    stats.converged = tail.converged;
     stats.final_residual = residual_norm(phi, bc, fine_rhs);
   }
   return stats;
@@ -1080,17 +941,9 @@ SolveStats solve_laplace(Grid3& phi, const DirichletBc& bc, const SolverOptions&
     if (workspace != nullptr) workspace->accounting().account(stats);
     return stats;
   };
-  if (opts.multilevel && can_coarsen(phi)) {
-    if (opts.cycle != CycleType::cascade)
-      return finish(vcycle_solve(phi, bc, nullptr, opts, workspace,
-                                 opts.cycle == CycleType::fmg));
-    std::size_t total = 0;
-    double fine_equiv = 0.0;
-    SolveStats stats = multilevel_solve(phi, bc, opts, total, fine_equiv, 1.0);
-    stats.total_sweeps = total;
-    stats.fine_equiv_sweeps = fine_equiv;
-    return finish(stats);
-  }
+  if (opts.cycle != CycleType::sor && can_coarsen(phi))
+    return finish(vcycle_solve(phi, bc, nullptr, opts, workspace,
+                               opts.cycle == CycleType::fmg));
   return finish(sor_solve(phi, bc, nullptr, opts, 1.0));
 }
 
@@ -1106,9 +959,7 @@ SolveStats solve_poisson(Grid3& phi, const Grid3& f, const DirichletBc& bc,
     if (workspace != nullptr) workspace->accounting().account(stats);
     return stats;
   };
-  // The cascade is a Laplace-only oracle; any multilevel Poisson solve goes
-  // through the V-cycle (the error equation needs a true residual cycle).
-  if (opts.multilevel && can_coarsen(phi))
+  if (opts.cycle != CycleType::sor && can_coarsen(phi))
     return finish(vcycle_solve(phi, bc, f.data().data(), opts, workspace,
                                opts.cycle == CycleType::fmg));
   return finish(sor_solve(phi, bc, f.data().data(), opts, 1.0));
@@ -1173,8 +1024,7 @@ SolveStats MultigridWorkspace::solve_window(Grid3& phi, const DirichletBc& bc,
   // Box-restricted red-black SOR. Same-color nodes of different planes are
   // independent under the 7-point stencil, so the per-color plane fan-out is
   // race-free and bitwise identical to the serial loop for every thread
-  // count; convergence is tested every sweep on both paths (the windowed
-  // kernel has no fused serial pair, so the schedules already match).
+  // count; convergence is tested every sweep.
   const double tol = opts.incremental.tolerance;
   const std::size_t cap = std::max<std::size_t>(std::size_t{1}, opts.incremental.max_sweeps);
   while (stats.sweeps < cap) {

@@ -9,10 +9,9 @@
 ///    which models the insulating chip passivation between electrodes and
 ///    the fluid-chamber side walls.
 ///
-/// Four solution strategies are provided:
-///  * red-black successive over-relaxation (SOR);
-///  * multilevel nested iteration (coarse-to-fine SOR cascade), kept as the
-///    equivalence/regression oracle for the cycles below;
+/// Three solution strategies are provided, selected by `CycleType`:
+///  * red-black successive over-relaxation (CycleType::sor), the oracle the
+///    cycles below are tested against;
 ///  * a true multigrid V-cycle (CycleType::vcycle, the production path):
 ///    pre-smoothing, residual restriction by full weighting, recursive
 ///    coarse-grid correction of the error equation ∇²e = r, trilinear
@@ -24,8 +23,10 @@
 ///    produces. Solve cost is effectively linear in node count;
 ///  * full multigrid (CycleType::fmg): nested iteration through the same
 ///    Galerkin hierarchy — coarsest-level solve, prolongate, one or two
-///    V-cycles per level — combining the cascade's cheap initial guess with
-///    the V-cycle's O(N) error correction.
+///    V-cycles per level — a cheap initial guess followed by the V-cycle's
+///    O(N) error correction.
+/// A grid with an even or shorter-than-5-node axis cannot be coarsened and
+/// runs SOR whatever the strategy.
 ///
 /// Every operator (smoothing, residual, restriction, prolongation) runs on
 /// the shared plane-wise stencil kernel (`field/stencil_kernel.hpp`):
@@ -52,11 +53,11 @@ struct DirichletBc {
   static DirichletBc all_free(const Grid3& grid);
 };
 
-/// Multilevel strategy selector.
+/// Solution strategy selector.
 enum class CycleType {
-  cascade,  ///< coarse-to-fine nested iteration (initial-guess improvement only)
-  vcycle,   ///< residual-restricting V-cycle (coarse-grid error correction)
-  fmg,      ///< full multigrid: nested-iteration start + V-cycles per level
+  sor,     ///< plain red-black SOR on the fine grid (the oracle)
+  vcycle,  ///< residual-restricting V-cycle (coarse-grid error correction)
+  fmg,     ///< full multigrid: nested-iteration start + V-cycles per level
 };
 
 /// Axis-aligned, inclusive node-index box — the region of influence of a
@@ -146,11 +147,10 @@ struct SolverOptions {
   std::size_t max_sweeps = 20000;  ///< hard iteration cap per level
   double omega = 0.0;            ///< SOR factor; 0 = auto (optimal for plain SOR,
                                  ///< 1.15 for V-cycle smoothing sweeps)
-  bool multilevel = true;        ///< use the grid hierarchy when the grid allows
-  CycleType cycle = CycleType::vcycle;  ///< hierarchy strategy when multilevel
+  CycleType cycle = CycleType::vcycle;  ///< solution strategy
   std::size_t pre_smooth = 2;    ///< V-cycle smoothing sweeps before restriction
   std::size_t post_smooth = 2;   ///< V-cycle smoothing sweeps after correction
-  std::size_t max_cycles = 60;   ///< V-cycle cap
+  std::size_t max_cycles = 60;   ///< V-cycle cap; past it the solve finishes on SOR
   std::size_t fmg_level_cycles = 1;  ///< FMG: V-cycles per level on the way up
   /// V-cycle convergence target on the residual norm max|Σnb/6 − φ −
   /// h²f/6| (the `laplacian_residual` units); 0 = use `tolerance`.
@@ -174,7 +174,7 @@ struct SolveStats {
   /// count relative to the finest grid. The honest cross-strategy cost
   /// metric (see docs/perf.md).
   double fine_equiv_sweeps = 0.0;
-  std::size_t cycles = 0;        ///< V-cycles executed (0 for SOR/cascade)
+  std::size_t cycles = 0;        ///< V-cycles executed (0 for SOR)
   double final_update = 0.0;     ///< last max-update norm [V]
   double final_residual = 0.0;   ///< last residual norm [V] (V-cycle path)
   bool converged = false;

@@ -1,22 +1,26 @@
 #!/usr/bin/env bash
 # Same-session A/B of the repository benchmark between two git refs.
 #
-#   tools/bench_ab.sh [-w workload] [-n pairs] [-s seconds] [-S seed] BASE CHANGE
+#   tools/bench_ab.sh [-w workload] [-n pairs] [-S seed] BASE CHANGE
 #
 # Extracts each ref (`git archive`) into its own directory under a fresh temp
 # dir, builds perfbench there once, then alternates `perfbench/run.py` runs of
 # one workload: pair i runs BASE first when i is odd and CHANGE first when i is
-# even, so a drift in host load lands on both sides. Defaults: field_track,
-# 10 pairs, 30 s per run (BENCHMARK.json's run_seconds), seed 1.
+# even, so a drift in host load lands on both sides. Every run lasts BASE's
+# BENCHMARK.json run_seconds, so both sides and the benchmark itself measure
+# the same span. Defaults: field_track, 10 pairs, seed 1.
 #
 # Prints every run, then for each end-to-end metric of BASE's BENCHMARK.json
 # both medians, each side's interquartile range (IQR), the relative change and
-# the number of pairs CHANGE won. A metric counts as worse only when CHANGE's
-# median is worse than BASE's by more than BASE's IQR: a difference inside
-# the base's own run-to-run spread cannot be told from noise.
+# the number of pairs CHANGE won. Each metric is judged against its `bound`:
+# WORSE when CHANGE's median is worse than BASE's by more than bound x BASE's
+# median; UNRESOLVED when BASE's own IQR is wider than that, because such a
+# run-to-run spread cannot tell a change inside the bound from noise (unless
+# every CHANGE run beats every BASE run).
 #
-# Exit status: 0 when no metric is worse beyond that spread, 1 when one is,
-# 2 when a checkout could not be built or a run failed its output checks.
+# Exit status: 0 when every metric is within its bound, 1 when one is worse,
+# 2 when a checkout could not be built or a run failed its output checks,
+# 3 when none is worse but one is unresolved.
 # A ref may be anything `git rev-parse` accepts; to measure uncommitted work,
 # stage it and pass the commit that `git stash create` prints.
 set -euo pipefail
@@ -28,13 +32,11 @@ usage() {
 
 workload=field_track
 pairs=10
-seconds=30
 seed=1
-while getopts "w:n:s:S:h" opt; do
+while getopts "w:n:S:h" opt; do
   case "$opt" in
     w) workload=$OPTARG ;;
     n) pairs=$OPTARG ;;
-    s) seconds=$OPTARG ;;
     S) seed=$OPTARG ;;
     *) usage ;;
   esac
@@ -74,6 +76,8 @@ run() {  # <side> <pair>
 
 checkout base "$base"
 checkout change "$change"
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+          "$tmp/base/BENCHMARK.json")
 for ((i = 1; i <= pairs; ++i)); do
   echo "bench_ab: pair $i/$pairs" >&2
   if ((i % 2 == 1)); then
@@ -120,12 +124,12 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
-worse = []
+worse, unresolved = [], []
 print()
 print(f"{'metric':<12} {'better':<7} {'base median':>12} {'base IQR':>10} "
-      f"{'change median':>14} {'change IQR':>11} {'change':>8} {'wins':>6}")
+      f"{'change median':>14} {'change IQR':>11} {'change':>8} {'wins':>6} {'bound':>6}")
 for m in metrics:
-    name, higher = m["name"], m["better"] == "higher"
+    name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     a = [v[name] for v in values["base"].values()]
     b = [v[name] for v in values["change"].values()]
     if not a or not b:
@@ -139,15 +143,22 @@ for m in metrics:
                and values["change"][p][name] != values["base"][p][name])
     rel = (mb - ma) / ma if ma else 0.0
     print(f"{name:<12} {m['better']:<7} {ma:>12.6g} {iqr_a:>10.3g} {mb:>14.6g} "
-          f"{iqr_b:>11.3g} {rel:>+8.1%} {wins:>3}/{len(common)}")
-    if (higher and mb < ma - iqr_a) or (not higher and mb > ma + iqr_a):
+          f"{iqr_b:>11.3g} {rel:>+8.1%} {wins:>3}/{len(common)} {bound:>6.0%}")
+    allowed = bound * abs(ma)
+    separated = min(b) > max(a) if higher else max(b) < min(a)
+    if (mb < ma - allowed) if higher else (mb > ma + allowed):
         worse.append(f"{name}: change median {mb:.6g} is worse than base median "
-                     f"{ma:.6g} by more than the base IQR {iqr_a:.3g}")
+                     f"{ma:.6g} by more than the {bound:.0%} bound")
+    elif iqr_a > allowed and not separated:
+        unresolved.append(f"{name}: base IQR {iqr_a:.3g} is wider than the "
+                          f"{bound:.0%} bound ({allowed:.3g})")
 for line in broken:
     print(f"RUN FAILED: {line}")
 for line in worse:
     print(f"WORSE: {line}")
+for line in unresolved:
+    print(f"UNRESOLVED: {line}")
 if broken:
     sys.exit(2)
-sys.exit(1 if worse else 0)
+sys.exit(1 if worse else 3 if unresolved else 0)
 EOF
